@@ -24,7 +24,7 @@ use fits_core::{
     synthesize_multi, FitsProgram, MultiMember, MultiOptions, MultiOutcome, Profile, SynthOptions,
 };
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_obs::json::escape;
+use fits_obs::json::{escape, number};
 use fits_power::DecodeKind;
 use fits_scenario::{ScenarioMatrix, ScenarioSpec};
 use fits_sim::{CompiledProgram, Machine};
@@ -480,16 +480,18 @@ fn member_json(m: &MemberPower) -> String {
         kernel = escape(&m.kernel),
         scb = m.solo_code_bytes,
         hcb = m.shared_code_bytes,
-        sij = stamp::json_f64(m.solo_icache_j),
-        hij = stamp::json_f64(m.shared_icache_j),
+        sij = number(m.solo_icache_j),
+        hij = number(m.shared_icache_j),
         sc = m.solo_cycles,
         hc = m.shared_cycles,
-        reg = stamp::json_f64(m.regression),
+        reg = number(m.regression),
     )
 }
 
 /// Serializes a Pareto enumeration into the `powerfits-pareto-v1` JSON
-/// schema (see [`fits_obs::json::validate_pareto_json`]). The meta block
+/// schema (see [`fits_obs::json::validate_pareto_json`]). Floats are
+/// written in shortest round-trip form, so the validator's dominance
+/// recheck sees exactly the values the frontier was computed from. The meta block
 /// carries the ISA catalog hash *and* the merged-profile hash, so a
 /// frontier stays attributable to the exact profile population it was
 /// synthesized from.
@@ -516,10 +518,10 @@ pub fn pareto_json(results: &ParetoResults) -> String {
                  \"config_bits\": {cfg},\n      \"iterations\": {iters},\n      \
                  \"members\": [\n{members}\n      ]\n    }}",
                 id = escape(&p.id),
-                budget = stamp::json_f64(p.spec.space_budget),
+                budget = number(p.spec.space_budget),
                 bits = p.spec.max_dict_bits,
                 code = p.code_bytes,
-                energy = stamp::json_f64(p.icache_j),
+                energy = number(p.icache_j),
                 slots = p.decoder_slots,
                 cfg = p.config_bits,
                 iters = p.iterations,
@@ -535,7 +537,7 @@ pub fn pareto_json(results: &ParetoResults) -> String {
                 "    {{\"id\": \"{id}\", \"space_budget\": {budget}, \
                  \"max_dict_bits\": {bits}, \"reason\": \"{reason}\"}}",
                 id = escape(&r.id),
-                budget = stamp::json_f64(r.spec.space_budget),
+                budget = number(r.spec.space_budget),
                 bits = r.spec.max_dict_bits,
                 reason = escape(&r.reason),
             )
@@ -556,10 +558,10 @@ pub fn pareto_json(results: &ParetoResults) -> String {
          \"points\": [\n{points}\n  ],\n  \"frontier\": [{frontier}],\n  \
          \"rejected\": [{rejected}]\n}}\n",
         n = results.scale.n,
-        eps = stamp::json_f64(results.epsilon),
+        eps = number(results.epsilon),
         kernels = kernels.join(", "),
         scode = results.solo_code_bytes,
-        senergy = stamp::json_f64(results.solo_icache_j),
+        senergy = number(results.solo_icache_j),
         points = points.join(",\n"),
         frontier = frontier.join(", "),
         rejected = if results.rejected.is_empty() {
@@ -623,6 +625,48 @@ mod tests {
         assert_eq!(table.rows.len(), results.points.len());
         let members = pareto_member_table(&results);
         assert_eq!(members.rows.len(), 3);
+    }
+
+    fn point(id: &str, icache_j: f64, decoder_slots: usize) -> ParetoPoint {
+        ParetoPoint {
+            id: id.to_string(),
+            spec: default_candidates()[0],
+            code_bytes: 1000,
+            icache_j,
+            decoder_slots,
+            config_bits: 64,
+            iterations: 1,
+            members: vec![MemberPower {
+                kernel: "crc32".to_string(),
+                solo_code_bytes: 900,
+                shared_code_bytes: 1000,
+                solo_icache_j: icache_j,
+                shared_icache_j: icache_j,
+                solo_cycles: 10,
+                shared_cycles: 10,
+                regression: 0.0,
+            }],
+        }
+    }
+
+    #[test]
+    fn archive_keeps_energies_closer_than_a_microjoule_apart() {
+        // Both points are on the frontier: `a` spends 2e-7 J less, `b`
+        // one decoder slot less. Rounded to six decimals the energies
+        // tie, and `b` would appear to dominate `a`.
+        let results = ParetoResults {
+            scale: Scale::test(),
+            kernels: vec![Kernel::Crc32],
+            epsilon: 1.0,
+            merged_hash: "0123456789abcdef".to_string(),
+            points: vec![point("a", 1.002e-4, 10), point("b", 1.004e-4, 9)],
+            frontier: vec![0, 1],
+            rejected: Vec::new(),
+            solo_code_bytes: 900,
+            solo_icache_j: 1.0e-4,
+        };
+        let counts = validate_pareto_json(&pareto_json(&results)).expect("frontier validates");
+        assert_eq!(counts.frontier, 2);
     }
 
     #[test]

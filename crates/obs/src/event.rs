@@ -24,6 +24,7 @@ use std::thread::JoinHandle;
 
 use crate::json::{parse, Value, Writer};
 use crate::metrics::Counter;
+use crate::schema::{check, Field, Shape};
 use crate::span::Span;
 
 /// Schema identifier written in the log's leading `meta` record.
@@ -349,23 +350,24 @@ pub struct AccessStats {
     pub traces: Vec<String>,
 }
 
-fn field<'v>(obj: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn str_of<'v>(obj: &'v [(String, Value)], key: &str, line_no: usize) -> Result<&'v str, String> {
-    match field(obj, key) {
-        Some(Value::Str(s)) => Ok(s),
-        _ => Err(format!("line {line_no}: missing string field '{key}'")),
-    }
-}
-
-fn num_of(obj: &[(String, Value)], key: &str, line_no: usize) -> Result<f64, String> {
-    match field(obj, key) {
-        Some(Value::Num(n)) => Ok(*n),
-        _ => Err(format!("line {line_no}: missing number field '{key}'")),
-    }
-}
+const ACCESS_META: Shape = Shape::obj(&[
+    Field::req("type", Shape::one_of(&["meta"])),
+    Field::req("schema", Shape::one_of(&[ACCESS_SCHEMA])),
+    Field::req("pid", Shape::NUM),
+    Field::req("commit", Shape::STR),
+]);
+const ACCESS_REQUEST: Shape = Shape::obj(&[
+    Field::req("level trace method endpoint cache", Shape::STR),
+    Field::req("status us", Shape::NUM),
+    Field::req(
+        "phases",
+        Shape::arr(&Shape::obj(&[
+            Field::req("name", Shape::STR),
+            Field::req("us count", Shape::NUM),
+        ])),
+    ),
+]);
+const ACCESS_EVENT: Shape = Shape::obj(&[Field::req("level message", Shape::STR)]);
 
 /// Validates a whole JSONL access log against `powerfits-access-v1`.
 ///
@@ -374,7 +376,6 @@ fn num_of(obj: &[(String, Value)], key: &str, line_no: usize) -> Result<f64, Str
 /// typed correctly; levels are legal; every `request` phase entry has
 /// `name`/`us`/`count`. Returns per-type counts and the trace ids.
 pub fn validate_access_jsonl(text: &str) -> Result<AccessStats, String> {
-    let mut stats = AccessStats::default();
     let mut lines = text
         .lines()
         .enumerate()
@@ -382,68 +383,48 @@ pub fn validate_access_jsonl(text: &str) -> Result<AccessStats, String> {
     let Some((_, first)) = lines.next() else {
         return Err("empty access log".to_string());
     };
-    let meta = match parse(first) {
-        Ok(Value::Obj(fields)) => fields,
-        Ok(_) => return Err("line 1: meta record is not an object".to_string()),
-        Err(e) => return Err(format!("line 1: {e}")),
+    let meta = parse(first).map_err(|e| format!("line 1: {e}"))?;
+    check(&meta, "", &ACCESS_META).map_err(|e| format!("line 1: {e}"))?;
+    let mut stats = AccessStats {
+        commit: str_at(&meta, "commit").to_string(),
+        ..AccessStats::default()
     };
-    if str_of(&meta, "type", 1)? != "meta" {
-        return Err("line 1: first record must have type 'meta'".to_string());
-    }
-    let schema = str_of(&meta, "schema", 1)?;
-    if schema != ACCESS_SCHEMA {
-        return Err(format!("line 1: schema '{schema}' != '{ACCESS_SCHEMA}'"));
-    }
-    num_of(&meta, "pid", 1)?;
-    stats.commit = str_of(&meta, "commit", 1)?.to_string();
 
     for (idx, line) in lines {
-        let line_no = idx + 1;
-        let obj = match parse(line) {
-            Ok(Value::Obj(fields)) => fields,
-            Ok(_) => return Err(format!("line {line_no}: record is not an object")),
-            Err(e) => return Err(format!("line {line_no}: {e}")),
+        let at = |e: &dyn std::fmt::Display| format!("line {}: {e}", idx + 1);
+        let v = parse(line).map_err(|e| at(&e))?;
+        let kind = str_at(&v, "type");
+        let shape = match kind {
+            "request" => &ACCESS_REQUEST,
+            "event" => &ACCESS_EVENT,
+            other => return Err(at(&format!("unknown record type '{other}'"))),
         };
-        let level = str_of(&obj, "level", line_no)?;
+        check(&v, "", shape).map_err(|e| at(&e))?;
+        let level = str_at(&v, "level");
         if !matches!(level, "info" | "warn" | "error") {
-            return Err(format!("line {line_no}: bad level '{level}'"));
+            return Err(at(&format!("bad level '{level}'")));
         }
-        match str_of(&obj, "type", line_no)? {
-            "request" => {
-                let trace = str_of(&obj, "trace", line_no)?;
-                if trace.is_empty() {
-                    return Err(format!("line {line_no}: empty trace id"));
-                }
-                str_of(&obj, "method", line_no)?;
-                str_of(&obj, "endpoint", line_no)?;
-                str_of(&obj, "cache", line_no)?;
-                let status = num_of(&obj, "status", line_no)?;
-                if !(100.0..600.0).contains(&status) {
-                    return Err(format!("line {line_no}: bad status {status}"));
-                }
-                num_of(&obj, "us", line_no)?;
-                let Some(Value::Arr(phases)) = field(&obj, "phases") else {
-                    return Err(format!("line {line_no}: missing array field 'phases'"));
-                };
-                for phase in phases {
-                    let Value::Obj(p) = phase else {
-                        return Err(format!("line {line_no}: phase is not an object"));
-                    };
-                    str_of(p, "name", line_no)?;
-                    num_of(p, "us", line_no)?;
-                    num_of(p, "count", line_no)?;
-                }
-                stats.requests += 1;
-                stats.traces.push(trace.to_string());
-            }
-            "event" => {
-                str_of(&obj, "message", line_no)?;
-                stats.events += 1;
-            }
-            other => return Err(format!("line {line_no}: unknown record type '{other}'")),
+        if kind == "event" {
+            stats.events += 1;
+            continue;
         }
+        let status = v.get("status").and_then(Value::as_f64).unwrap_or_default();
+        if !(100.0..600.0).contains(&status) {
+            return Err(at(&format!("bad status {status}")));
+        }
+        let trace = str_at(&v, "trace");
+        if trace.is_empty() {
+            return Err(at(&"empty trace id"));
+        }
+        stats.requests += 1;
+        stats.traces.push(trace.to_string());
     }
     Ok(stats)
+}
+
+/// String field `key` of a record already checked to carry one.
+fn str_at<'v>(v: &'v Value, key: &str) -> &'v str {
+    v.get(key).and_then(Value::as_str).unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -23,6 +23,14 @@
 
 use std::fmt;
 
+use crate::schema::{check, Field, Shape};
+
+/// Deepest container nesting [`parse`] accepts. Far above any document
+/// the workspace writes (a flight-recorder span tree is under 20 levels),
+/// and low enough that neither the parser nor the [`crate::schema`]
+/// walker, both recursive, can exhaust a thread stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value. Objects preserve key order (the emitter's order is
 /// part of what the validator sees).
 #[derive(Clone, Debug, PartialEq)]
@@ -68,6 +76,15 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The items, if this is an array.
+    #[must_use]
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
 }
 
 /// A parse failure: byte offset plus a short description.
@@ -90,6 +107,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -131,8 +150,11 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -141,6 +163,16 @@ impl<'a> Parser<'a> {
             Some(_) => self.err("unexpected character"),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Parser<'a>) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -322,11 +354,13 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// A [`JsonError`] with the byte offset of the first problem.
+/// A [`JsonError`] with the byte offset of the first problem, including
+/// containers nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.value()?;
     p.skip_ws();
@@ -334,6 +368,18 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
         return p.err("trailing characters after value");
     }
     Ok(value)
+}
+
+/// A float in its shortest round-trip form (`parse` reads back the same
+/// `f64`). Non-finite inputs, which JSON cannot represent, degrade to `0`
+/// — the report degrades, never the document.
+#[must_use]
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        v.to_string()
+    } else {
+        "0".to_string()
+    }
 }
 
 /// Escapes a string for embedding in a JSON document (no surrounding
@@ -480,16 +526,10 @@ impl Writer {
         self.buf.push_str(&v.to_string());
     }
 
-    /// Writes a float value. Non-finite inputs (which JSON cannot
-    /// represent) degrade to `0` — the report degrades, never the
-    /// document.
+    /// Writes a float value in [`number`] form.
     pub fn f64(&mut self, v: f64) {
         self.separate();
-        if v.is_finite() {
-            self.buf.push_str(&v.to_string());
-        } else {
-            self.buf.push('0');
-        }
+        self.buf.push_str(&number(v));
     }
 
     /// Writes a float value with fixed decimal precision.
@@ -583,48 +623,24 @@ pub struct TraceCounts {
     pub summaries: usize,
 }
 
-fn str_field(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Value::Str(_)) => Ok(()),
-        _ => Err(format!("{ctx}: missing string field \"{key}\"")),
-    }
-}
+const STR: Shape = Shape::STR;
+const NUM: Shape = Shape::NUM;
+const NON_NEG: Shape = Shape::NON_NEG;
 
-fn num_field(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Value::Num(n)) if *n >= 0.0 => Ok(()),
-        _ => Err(format!(
-            "{ctx}: missing non-negative number field \"{key}\""
-        )),
-    }
-}
-
-fn require_str(line: usize, v: &Value, key: &str) -> Result<(), String> {
-    str_field(&format!("line {line}"), v, key)
-}
-
-fn require_num(line: usize, v: &Value, key: &str) -> Result<(), String> {
-    num_field(&format!("line {line}"), v, key)
-}
-
-fn require_costs(line: usize, v: &Value, key: &str) -> Result<(), String> {
-    let side = v
-        .get(key)
-        .ok_or_else(|| format!("line {line}: missing object field \"{key}\""))?;
-    if !matches!(side, Value::Obj(_)) {
-        return Err(format!("line {line}: field \"{key}\" is not an object"));
-    }
-    for field in [
-        "retired",
-        "fetches",
-        "switching_j",
-        "internal_j",
-        "leakage_j",
-    ] {
-        require_num(line, side, field)?;
-    }
-    Ok(())
-}
+const TRACE_META: Shape = Shape::obj(&[Field::req("kernel scale icache scenario", STR)]);
+const TRACE_SPAN: Shape = Shape::obj(&[Field::req("path", STR), Field::req("ms count", NON_NEG)]);
+const TRACE_COSTS: Shape = Shape::obj(&[Field::req(
+    "retired fetches switching_j internal_j leakage_j",
+    NON_NEG,
+)]);
+const TRACE_BLOCK: Shape = Shape::obj(&[
+    Field::req("addr label func", STR),
+    Field::req("arm fits", TRACE_COSTS),
+]);
+const TRACE_SUMMARY: Shape = Shape::obj(&[
+    Field::req("isa", STR),
+    Field::req("cycles retired switching_j internal_j leakage_j", NON_NEG),
+]);
 
 /// Validates a `fitstrace --json` export against the trace JSONL schema.
 ///
@@ -641,51 +657,22 @@ pub fn validate_trace_jsonl(text: &str) -> Result<TraceCounts, String> {
             continue;
         }
         let v = parse(raw).map_err(|e| format!("line {line}: {e}"))?;
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line}: missing string field \"type\""))?;
-        match kind {
-            "meta" => {
-                if counts.meta > 0 || counts.spans + counts.blocks + counts.summaries > 0 {
+        let (shape, count) = match v.get("type").and_then(Value::as_str) {
+            Some("meta") => {
+                if counts != TraceCounts::default() {
                     return Err(format!(
                         "line {line}: \"meta\" must be the single first line"
                     ));
                 }
-                counts.meta += 1;
-                for key in ["kernel", "scale", "icache", "scenario"] {
-                    require_str(line, &v, key)?;
-                }
+                (&TRACE_META, &mut counts.meta)
             }
-            "span" => {
-                counts.spans += 1;
-                require_str(line, &v, "path")?;
-                require_num(line, &v, "ms")?;
-                require_num(line, &v, "count")?;
-            }
-            "block" => {
-                counts.blocks += 1;
-                for key in ["addr", "label", "func"] {
-                    require_str(line, &v, key)?;
-                }
-                require_costs(line, &v, "arm")?;
-                require_costs(line, &v, "fits")?;
-            }
-            "summary" => {
-                counts.summaries += 1;
-                require_str(line, &v, "isa")?;
-                for key in [
-                    "cycles",
-                    "retired",
-                    "switching_j",
-                    "internal_j",
-                    "leakage_j",
-                ] {
-                    require_num(line, &v, key)?;
-                }
-            }
-            other => return Err(format!("line {line}: unknown event type \"{other}\"")),
-        }
+            Some("span") => (&TRACE_SPAN, &mut counts.spans),
+            Some("block") => (&TRACE_BLOCK, &mut counts.blocks),
+            Some("summary") => (&TRACE_SUMMARY, &mut counts.summaries),
+            other => return Err(format!("line {line}: unknown event type {other:?}")),
+        };
+        *count += 1;
+        check(&v, "", shape).map_err(|e| format!("line {line}: {e}"))?;
     }
     if counts.meta != 1 {
         return Err("stream must start with exactly one \"meta\" line".to_string());
@@ -694,6 +681,27 @@ pub fn validate_trace_jsonl(text: &str) -> Result<TraceCounts, String> {
         return Err("stream has no \"summary\" line".to_string());
     }
     Ok(counts)
+}
+
+/// Parses `text` and checks it against `shape`.
+fn parse_checked(text: &str, shape: &Shape) -> Result<Value, String> {
+    let doc = parse(text).map_err(|e| e.to_string())?;
+    check(&doc, "", shape).map_err(|e| e.to_string())?;
+    Ok(doc)
+}
+
+/// The array at `key` of a document already checked to hold one.
+fn arr<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+    v.get(key).and_then(Value::as_arr).unwrap_or_default()
+}
+
+/// The first id repeated among `records`' `"id"` strings.
+fn duplicate_id(records: &[Value]) -> Option<(usize, &str)> {
+    let ids: Vec<&str> = records
+        .iter()
+        .map(|r| r.get("id").and_then(Value::as_str).unwrap_or_default())
+        .collect();
+    (1..ids.len()).find_map(|i| ids[..i].contains(&ids[i]).then_some((i, ids[i])))
 }
 
 /// Shape summary of a validated `SWEEP.json` document.
@@ -709,35 +717,40 @@ pub struct SweepCounts {
     pub scenarios: usize,
 }
 
-fn require_nonempty_arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    match v.get(key) {
-        Some(Value::Arr(items)) if !items.is_empty() => Ok(items),
-        _ => Err(format!("missing non-empty array field \"{key}\"")),
-    }
-}
-
-fn sweep_isa_ok(scenario: usize, v: &Value, key: &str) -> Result<(), String> {
-    let side = v
-        .get(key)
-        .ok_or_else(|| format!("scenario {scenario}: missing object field \"{key}\""))?;
-    if !matches!(side, Value::Obj(_)) {
-        return Err(format!(
-            "scenario {scenario}: field \"{key}\" is not an object"
-        ));
-    }
-    for field in [
-        "cycles",
-        "icache_j",
-        "icache_switching_j",
-        "icache_internal_j",
-        "icache_leakage_j",
-        "chip_j",
-        "peak_w",
-    ] {
-        num_field(&format!("scenario {scenario} \"{key}\""), side, field)?;
-    }
-    Ok(())
-}
+/// The per-ISA aggregate record (`fits_bench::isa_json`) that `SWEEP.json`
+/// scenarios and the `fitsd` simulate, sweep and multi bodies embed.
+pub const ISA_TOTALS: Shape = Shape::obj(&[Field::req(
+    "cycles icache_j icache_switching_j icache_internal_j icache_leakage_j chip_j peak_w",
+    NON_NEG,
+)]);
+const SWEEP_SCENARIO: Shape = Shape::obj(&[
+    Field::req("id", STR),
+    Field::req("icache_bytes", NON_NEG),
+    Field::req("tech", STR),
+    Field::req("arm fits", ISA_TOTALS),
+    // Savings may legitimately be negative (a configuration can lose).
+    Field::req("icache_saving chip_saving", NUM),
+]);
+const SWEEP: Shape = Shape::obj(&[
+    Field::req("schema", Shape::one_of(&["powerfits-sweep-v1"])),
+    Field::req(
+        "meta",
+        Shape::obj(&[
+            Field::req("commit host os arch", STR),
+            Field::req("timestamp_unix", NON_NEG),
+        ]),
+    ),
+    Field::req("scale_n executions_per_kernel", NON_NEG),
+    Field::req("kernels", Shape::non_empty(&STR)),
+    Field::req(
+        "grid",
+        Shape::obj(&[
+            Field::req("icache_bytes", Shape::non_empty(&Shape::POSITIVE)),
+            Field::req("tech", Shape::non_empty(&STR)),
+        ]),
+    ),
+    Field::req("scenarios", Shape::non_empty(&SWEEP_SCENARIO)),
+]);
 
 /// Validates a `fitssweep` archive against the `powerfits-sweep-v1`
 /// schema: provenance meta, non-empty kernel list and grid axes, and one
@@ -749,78 +762,23 @@ fn sweep_isa_ok(scenario: usize, v: &Value, key: &str) -> Result<(), String> {
 /// A description of the first violation (parse failure, missing or
 /// ill-typed field, duplicate or miscounted scenarios).
 pub fn validate_sweep_json(text: &str) -> Result<SweepCounts, String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some("powerfits-sweep-v1") => {}
-        other => {
-            return Err(format!(
-                "schema must be \"powerfits-sweep-v1\", got {other:?}"
-            ))
-        }
-    }
-    let meta = doc
-        .get("meta")
-        .ok_or_else(|| "missing object field \"meta\"".to_string())?;
-    for key in ["commit", "host", "os", "arch"] {
-        str_field("meta", meta, key)?;
-    }
-    num_field("meta", meta, "timestamp_unix")?;
-    num_field("document", &doc, "scale_n")?;
-    num_field("document", &doc, "executions_per_kernel")?;
-
-    let kernels = require_nonempty_arr(&doc, "kernels")?;
-    if kernels.iter().any(|k| k.as_str().is_none()) {
-        return Err("\"kernels\" must contain only strings".to_string());
-    }
-    let grid = doc
-        .get("grid")
-        .ok_or_else(|| "missing object field \"grid\"".to_string())?;
-    let sizes = require_nonempty_arr(grid, "icache_bytes").map_err(|e| format!("grid: {e}"))?;
-    if sizes.iter().any(|s| s.as_f64().is_none_or(|n| n <= 0.0)) {
-        return Err("grid \"icache_bytes\" must contain positive numbers".to_string());
-    }
-    let tech = require_nonempty_arr(grid, "tech").map_err(|e| format!("grid: {e}"))?;
-    if tech.iter().any(|t| t.as_str().is_none()) {
-        return Err("grid \"tech\" must contain only strings".to_string());
-    }
-
-    let scenarios = require_nonempty_arr(&doc, "scenarios")?;
-    if scenarios.len() != sizes.len() * tech.len() {
+    let doc = parse_checked(text, &SWEEP)?;
+    let grid = doc.get("grid").unwrap_or(&Value::Null);
+    let (sizes, tech) = (arr(grid, "icache_bytes").len(), arr(grid, "tech").len());
+    let scenarios = arr(&doc, "scenarios");
+    if scenarios.len() != sizes * tech {
         return Err(format!(
-            "scenario count {} must equal the grid product {} x {}",
-            scenarios.len(),
-            sizes.len(),
-            tech.len()
+            "scenario count {} must equal the grid product {sizes} x {tech}",
+            scenarios.len()
         ));
     }
-    let mut ids = Vec::with_capacity(scenarios.len());
-    for (i, s) in scenarios.iter().enumerate() {
-        let n = i + 1;
-        let id = s
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("scenario {n}: missing string field \"id\""))?;
-        if ids.contains(&id) {
-            return Err(format!("scenario {n}: duplicate id \"{id}\""));
-        }
-        ids.push(id);
-        num_field(&format!("scenario {n}"), s, "icache_bytes")?;
-        str_field(&format!("scenario {n}"), s, "tech")?;
-        sweep_isa_ok(n, s, "arm")?;
-        sweep_isa_ok(n, s, "fits")?;
-        for key in ["icache_saving", "chip_saving"] {
-            // Savings may legitimately be negative (a configuration can
-            // lose); only presence and type are schema concerns.
-            match s.get(key) {
-                Some(Value::Num(_)) => {}
-                _ => return Err(format!("scenario {n}: missing number field \"{key}\"")),
-            }
-        }
+    if let Some((i, id)) = duplicate_id(scenarios) {
+        return Err(format!("scenario {}: duplicate id \"{id}\"", i + 1));
     }
     Ok(SweepCounts {
-        kernels: kernels.len(),
-        icache_sizes: sizes.len(),
-        tech_nodes: tech.len(),
+        kernels: arr(&doc, "kernels").len(),
+        icache_sizes: sizes,
+        tech_nodes: tech,
         scenarios: scenarios.len(),
     })
 }
@@ -836,50 +794,39 @@ pub struct CacheBoundsCounts {
     pub violations: usize,
 }
 
-fn cache_bounds_stream(kernel: &str, side: &str, v: &Value) -> Result<(usize, usize), String> {
-    let ctx = format!("kernel \"{kernel}\" {side}");
-    let stream = v
-        .get(side)
-        .ok_or_else(|| format!("{ctx}: missing object field \"{side}\""))?;
-    if !matches!(stream, Value::Obj(_)) {
-        return Err(format!("{ctx}: field \"{side}\" is not an object"));
-    }
-    let words = stream
-        .get("words")
-        .ok_or_else(|| format!("{ctx}: missing object field \"words\""))?;
-    for key in [
-        "always_hit",
-        "always_miss",
-        "persistent",
-        "unknown",
-        "unreachable",
-    ] {
-        num_field(&format!("{ctx} words"), words, key)?;
-    }
-    num_field(&ctx, stream, "audit_findings")?;
-    num_field(&ctx, stream, "blocks")?;
-    let Some(bounds) = stream.get("bounds") else {
-        return Ok((0, 0)); // static-only stream
-    };
-    if !matches!(bounds, Value::Obj(_)) {
-        return Err(format!("{ctx}: field \"bounds\" is not an object"));
-    }
-    for key in ["accesses", "misses", "miss_min", "miss_max"] {
-        num_field(&format!("{ctx} bounds"), bounds, key)?;
-    }
-    for key in ["energy_lo_j", "energy_hi_j"] {
-        num_field(&format!("{ctx} bounds"), bounds, key)?;
-    }
-    let violations = match bounds.get("violations") {
-        Some(Value::Arr(items)) if items.iter().all(|i| i.as_str().is_some()) => items.len(),
-        _ => {
-            return Err(format!(
-                "{ctx}: bounds needs a \"violations\" array of strings"
-            ))
-        }
-    };
-    Ok((1, violations))
-}
+const CACHE_STREAM: Shape = Shape::obj(&[
+    Field::req(
+        "words",
+        Shape::obj(&[Field::req(
+            "always_hit always_miss persistent unknown unreachable",
+            NON_NEG,
+        )]),
+    ),
+    Field::req("audit_findings blocks", NON_NEG),
+    // Absent on a static-only stream.
+    Field::opt(
+        "bounds",
+        Shape::obj(&[
+            Field::req(
+                "accesses misses miss_min miss_max energy_lo_j energy_hi_j",
+                NON_NEG,
+            ),
+            Field::req("violations", Shape::arr(&STR)),
+        ]),
+    ),
+]);
+const CACHE_BOUNDS: Shape = Shape::obj(&[
+    Field::req("schema", Shape::one_of(&["powerfits-cache-bounds-v1"])),
+    Field::req("preset scale", STR),
+    Field::req(
+        "kernels",
+        Shape::non_empty(&Shape::obj(&[
+            Field::req("kernel", STR),
+            Field::req("arm fits", CACHE_STREAM),
+        ])),
+    ),
+    Field::req("sound", Shape::BOOL),
+]);
 
 /// Validates a `fitslint --cache` report against the
 /// `powerfits-cache-bounds-v1` schema: provenance fields, one record per
@@ -893,44 +840,26 @@ fn cache_bounds_stream(kernel: &str, side: &str, v: &Value) -> Result<(usize, us
 /// A description of the first violation (parse failure, missing or
 /// ill-typed field, or a `sound` flag contradicting the violations).
 pub fn validate_cache_bounds_json(text: &str) -> Result<CacheBoundsCounts, String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some("powerfits-cache-bounds-v1") => {}
-        other => {
-            return Err(format!(
-                "schema must be \"powerfits-cache-bounds-v1\", got {other:?}"
-            ))
-        }
-    }
-    for key in ["preset", "scale"] {
-        str_field("document", &doc, key)?;
-    }
-    let kernels = require_nonempty_arr(&doc, "kernels")?;
+    let doc = parse_checked(text, &CACHE_BOUNDS)?;
+    let kernels = arr(&doc, "kernels");
     let mut counts = CacheBoundsCounts {
         kernels: kernels.len(),
         ..CacheBoundsCounts::default()
     };
-    for k in kernels {
-        let name = k
-            .get("kernel")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "kernel record: missing string field \"kernel\"".to_string())?;
-        for side in ["arm", "fits"] {
-            let (traced, violations) = cache_bounds_stream(name, side, k)?;
-            counts.traced_streams += traced;
-            counts.violations += violations;
-        }
+    for bounds in kernels
+        .iter()
+        .flat_map(|k| [k.get("arm"), k.get("fits")])
+        .filter_map(|stream| stream?.get("bounds"))
+    {
+        counts.traced_streams += 1;
+        counts.violations += arr(bounds, "violations").len();
     }
-    match doc.get("sound") {
-        Some(Value::Bool(sound)) => {
-            if *sound != (counts.violations == 0) {
-                return Err(format!(
-                    "\"sound\": {sound} contradicts {} recorded violation(s)",
-                    counts.violations
-                ));
-            }
-        }
-        _ => return Err("missing boolean field \"sound\"".to_string()),
+    let sound = doc.get("sound") == Some(&Value::Bool(true));
+    if sound != (counts.violations == 0) {
+        return Err(format!(
+            "\"sound\": {sound} contradicts {} recorded violation(s)",
+            counts.violations
+        ));
     }
     Ok(counts)
 }
@@ -948,6 +877,49 @@ pub struct ParetoCounts {
     pub rejected: usize,
 }
 
+const PARETO_POINT: Shape = Shape::obj(&[
+    Field::req("id", STR),
+    Field::req(
+        "space_budget max_dict_bits code_bytes icache_j decoder_slots config_bits iterations",
+        NON_NEG,
+    ),
+    Field::req(
+        "members",
+        Shape::non_empty(&Shape::obj(&[
+            Field::req("kernel", STR),
+            Field::req(
+                "solo_code_bytes shared_code_bytes solo_icache_j shared_icache_j \
+                 solo_cycles shared_cycles",
+                NON_NEG,
+            ),
+            // A shared ISA can beat a per-app one on a member.
+            Field::req("regression", NUM),
+        ])),
+    ),
+]);
+const PARETO: Shape = Shape::obj(&[
+    Field::req("schema", Shape::one_of(&["powerfits-pareto-v1"])),
+    Field::req(
+        "meta",
+        Shape::obj(&[
+            Field::req("commit host os arch isa merged_profile", STR),
+            Field::req("timestamp_unix", NON_NEG),
+        ]),
+    ),
+    Field::req("scale_n solo_code_bytes solo_icache_j", NON_NEG),
+    Field::req("epsilon", NUM),
+    Field::req("kernels", Shape::non_empty(&STR)),
+    Field::req("points", Shape::non_empty(&PARETO_POINT)),
+    Field::req(
+        "frontier",
+        Shape::non_empty(&Shape::int(0.0, f64::INFINITY)),
+    ),
+    Field::req(
+        "rejected",
+        Shape::arr(&Shape::obj(&[Field::req("id reason", STR)])),
+    ),
+]);
+
 /// Validates a `fitspareto` archive against the `powerfits-pareto-v1`
 /// schema: provenance meta carrying both the catalog and merged-profile
 /// hashes, non-empty kernel list, accepted candidate points with
@@ -961,135 +933,54 @@ pub struct ParetoCounts {
 /// A description of the first violation (parse failure, missing or
 /// ill-typed field, empty or wrong frontier).
 pub fn validate_pareto_json(text: &str) -> Result<ParetoCounts, String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some("powerfits-pareto-v1") => {}
-        other => {
-            return Err(format!(
-                "schema must be \"powerfits-pareto-v1\", got {other:?}"
-            ))
-        }
+    let doc = parse_checked(text, &PARETO)?;
+    let kernels = arr(&doc, "kernels").len();
+    let points = arr(&doc, "points");
+    if let Some((i, id)) = duplicate_id(points) {
+        return Err(format!("point {}: duplicate id \"{id}\"", i + 1));
     }
-    let meta = doc
-        .get("meta")
-        .ok_or_else(|| "missing object field \"meta\"".to_string())?;
-    for key in ["commit", "host", "os", "arch", "isa", "merged_profile"] {
-        str_field("meta", meta, key)?;
-    }
-    num_field("meta", meta, "timestamp_unix")?;
-    num_field("document", &doc, "scale_n")?;
-    match doc.get("epsilon") {
-        Some(Value::Num(_)) => {}
-        _ => return Err("missing number field \"epsilon\"".to_string()),
-    }
-    num_field("document", &doc, "solo_code_bytes")?;
-    num_field("document", &doc, "solo_icache_j")?;
-
-    let kernels = require_nonempty_arr(&doc, "kernels")?;
-    if kernels.iter().any(|k| k.as_str().is_none()) {
-        return Err("\"kernels\" must contain only strings".to_string());
-    }
-
-    let points = require_nonempty_arr(&doc, "points")?;
-    let mut ids = Vec::with_capacity(points.len());
     let mut axes = Vec::with_capacity(points.len());
     for (i, p) in points.iter().enumerate() {
-        let n = i + 1;
-        let id = p
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("point {n}: missing string field \"id\""))?;
-        if ids.contains(&id) {
-            return Err(format!("point {n}: duplicate id \"{id}\""));
-        }
-        ids.push(id);
-        for key in [
-            "space_budget",
-            "max_dict_bits",
-            "code_bytes",
-            "icache_j",
-            "decoder_slots",
-            "config_bits",
-            "iterations",
-        ] {
-            num_field(&format!("point {n}"), p, key)?;
-        }
-        let members = require_nonempty_arr(p, "members").map_err(|e| format!("point {n}: {e}"))?;
-        if members.len() != kernels.len() {
+        let members = arr(p, "members").len();
+        if members != kernels {
             return Err(format!(
-                "point {n}: {} member records for {} kernels",
-                members.len(),
-                kernels.len()
+                "point {}: {members} member records for {kernels} kernels",
+                i + 1
             ));
-        }
-        for (j, m) in members.iter().enumerate() {
-            let ctx = format!("point {n} member {}", j + 1);
-            str_field(&ctx, m, "kernel")?;
-            for key in [
-                "solo_code_bytes",
-                "shared_code_bytes",
-                "solo_icache_j",
-                "shared_icache_j",
-                "solo_cycles",
-                "shared_cycles",
-            ] {
-                num_field(&ctx, m, key)?;
-            }
-            // The regression may legitimately be negative (a shared ISA
-            // can beat a per-app one on a member): type-check only.
-            match m.get("regression") {
-                Some(Value::Num(_)) => {}
-                _ => return Err(format!("{ctx}: missing number field \"regression\"")),
-            }
         }
         let axis = |key: &str| p.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
         axes.push([axis("code_bytes"), axis("icache_j"), axis("decoder_slots")]);
     }
 
-    let frontier = require_nonempty_arr(&doc, "frontier")
-        .map_err(|_| "\"frontier\" must be a non-empty array".to_string())?;
-    let mut frontier_set = Vec::with_capacity(frontier.len());
-    for f in frontier {
-        let idx = f
-            .as_f64()
-            .filter(|v| v.fract() == 0.0 && *v >= 0.0 && (*v as usize) < points.len())
-            .ok_or_else(|| format!("frontier entry {f:?} is not a valid point index"))?
-            as usize;
-        if frontier_set.contains(&idx) {
+    let mut frontier = Vec::new();
+    for f in arr(&doc, "frontier") {
+        let idx = f.as_f64().unwrap_or(f64::INFINITY) as usize;
+        if idx >= points.len() {
+            return Err(format!("frontier entry {idx} is not a valid point index"));
+        }
+        if frontier.contains(&idx) {
             return Err(format!("frontier index {idx} listed twice"));
         }
-        frontier_set.push(idx);
+        frontier.push(idx);
     }
     // Recompute the non-dominated set and demand exact agreement.
     let dominates =
         |a: &[f64; 3], b: &[f64; 3]| (0..3).all(|k| a[k] <= b[k]) && (0..3).any(|k| a[k] < b[k]);
     for (i, b) in axes.iter().enumerate() {
         let dominated = axes.iter().any(|a| dominates(a, b));
-        if dominated && frontier_set.contains(&i) {
+        if dominated && frontier.contains(&i) {
             return Err(format!("frontier point {i} is dominated"));
         }
-        if !dominated && !frontier_set.contains(&i) {
+        if !dominated && !frontier.contains(&i) {
             return Err(format!("non-dominated point {i} missing from the frontier"));
         }
     }
 
-    let rejected = match doc.get("rejected") {
-        Some(Value::Arr(items)) => {
-            for (i, r) in items.iter().enumerate() {
-                let ctx = format!("rejected {}", i + 1);
-                str_field(&ctx, r, "id")?;
-                str_field(&ctx, r, "reason")?;
-            }
-            items.len()
-        }
-        _ => return Err("missing array field \"rejected\"".to_string()),
-    };
-
     Ok(ParetoCounts {
-        kernels: kernels.len(),
+        kernels,
         points: points.len(),
-        frontier: frontier_set.len(),
-        rejected,
+        frontier: frontier.len(),
+        rejected: arr(&doc, "rejected").len(),
     })
 }
 
@@ -1128,6 +1019,29 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "tru", "\"\x01\""] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Far past the bound the parser still fails cleanly, not by
+        // exhausting its stack.
+        assert!(parse(&"[".repeat(50_000)).is_err());
+    }
+
+    #[test]
+    fn numbers_round_trip_exactly() {
+        for v in [1.000_000_2e-4, 1.0 / 3.0, 1e-300, 123_456_789.0, -0.5] {
+            assert_eq!(parse(&number(v)).unwrap(), Value::Num(v));
+        }
+        assert_eq!(number(f64::NAN), "0");
     }
 
     #[test]

@@ -27,9 +27,12 @@
 //!   source kernel function) of the *native* program, with the FITS run
 //!   mapped back onto the same blocks through the translator's expansion
 //!   table — ARM vs. FITS, side by side.
-//! * [`json`] — a dependency-free JSON scanner used to validate the JSONL
-//!   trace export of the `fitstrace` CLI (in `fits-bench`) and the request
-//!   bodies of the `fitsd` daemon (in `fits-serve`).
+//! * [`json`] — a dependency-free JSON parser (nesting bounded at
+//!   [`json::MAX_DEPTH`]), writer, and the artifact validators (trace
+//!   JSONL, `SWEEP.json`, cache-bounds report, `PARETO.json`).
+//! * [`schema`] — the one declarative shape checker every artifact
+//!   validator and every `fitsd` request decoder runs its field, type and
+//!   range checks through.
 //! * [`metrics`] — lock-free service counters and a log-bucketed latency
 //!   histogram (p50/p99), the `/metrics` substrate of `fitsd`.
 //! * [`event`] — the structured JSONL access/event log: a bounded channel
@@ -63,6 +66,7 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod ring;
+pub mod schema;
 pub mod span;
 pub mod trace;
 pub mod window;

@@ -1,9 +1,9 @@
 //! The JSON API: request schemas, canonical keys, response bodies.
 //!
-//! Every request body is schema-validated with the `fits_obs::json`
-//! machinery *before* any work is scheduled; violations come back as
-//! structured 400s carrying an error code and a JSON-pointer to the
-//! offending field — a malformed request can never panic a worker.
+//! Every request body is checked against a `fits_obs::schema` shape
+//! *before* any work is scheduled; violations come back as structured
+//! 400s carrying an error code and a JSON-pointer to the offending field
+//! — a malformed request can never panic a worker.
 //!
 //! Every POST endpoint is a **pure function** of its canonical request
 //! string ([`SynthesizeRequest::canonical`] and friends): no timestamps,
@@ -20,7 +20,8 @@ use fits_bench::{
 use fits_core::{synthesize_multi, MultiError, MultiMember, MultiOptions, SynthOptions};
 use fits_isa::spec::{builtin_ar32, IsaSpec, SpecCatalog};
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_obs::json::{escape, parse, Value};
+use fits_obs::json::{escape, parse, Value, ISA_TOTALS};
+use fits_obs::schema::{self, check, Field, Object, Shape, Violation};
 use fits_scenario::{tech_preset, ScenarioMatrix, ScenarioSpec, PRESET_NAMES, TECH_NAMES};
 
 /// The response schema identifier every body carries.
@@ -74,7 +75,81 @@ impl std::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
-// ---------------------------------------------------------------- helpers
+impl From<Violation> for ApiError {
+    fn from(v: Violation) -> ApiError {
+        ApiError {
+            code: v.code,
+            pointer: v.pointer,
+            message: v.message,
+        }
+    }
+}
+
+// ---------------------------------------------------------------- request shapes
+
+const STR: Shape = Shape::STR;
+const KERNEL: Field = Field::req("kernel", STR).missing("a kernel name is required");
+const SCALE: Field = Field::opt("scale", Shape::int(1.0, MAX_SCALE as f64));
+const SCENARIO: Field = Field::opt("scenario", STR);
+const TECH: Field = Field::opt("tech", STR);
+const ICACHE: Shape = Shape::int(256.0, 16_777_216.0);
+const ICACHE_BYTES: Field = Field::opt("icache_bytes", ICACHE);
+const ISA: Field = Field::opt("isa", STR);
+const SYNTH: Field = Field::opt(
+    "synth",
+    Shape::closed(&[
+        Field::opt("toggle_aware", Shape::BOOL),
+        Field::opt("reg_bits", Shape::int(3.0, 4.0)),
+        Field::opt(
+            "space_budget",
+            Shape::range(0f64.next_up(), 1.0).expecting("a fraction in (0, 1]"),
+        ),
+        Field::opt("max_dict_bits", Shape::int(0.0, 12.0)),
+    ]),
+);
+const KERNEL_LIST: Shape = Shape::arr(&STR).len(1, usize::MAX, "kernel list must not be empty");
+
+const SYNTHESIZE: Shape = Shape::closed(&[KERNEL, SCALE, SYNTH, ISA]);
+const SIMULATE: Shape = Shape::closed(&[KERNEL, SCALE, SCENARIO, TECH, ICACHE_BYTES, SYNTH, ISA]);
+const ANALYZE: Shape = Shape::closed(&[
+    KERNEL,
+    SCALE,
+    SCENARIO,
+    TECH,
+    ICACHE_BYTES,
+    SYNTH,
+    Field::opt("static_only", Shape::BOOL),
+    ISA,
+]);
+const SWEEP: Shape = Shape::closed(&[
+    Field::opt("kernels", KERNEL_LIST),
+    SCALE,
+    SCENARIO,
+    Field::opt(
+        "icache_bytes",
+        Shape::arr(&ICACHE.expecting("an integer byte count in [256, 2^24]")).len(
+            1,
+            MAX_SWEEP_SIZES,
+            "expected 1..=8 sizes",
+        ),
+    ),
+    Field::opt(
+        "tech",
+        Shape::arr(&STR).len(1, usize::MAX, "tech list must not be empty"),
+    ),
+    SYNTH,
+    ISA,
+]);
+const SYNTHESIZE_MULTI: Shape = Shape::closed(&[
+    Field::req("kernels", KERNEL_LIST).missing("a kernel list is required"),
+    Field::opt("weights", Shape::arr(&Shape::NUM)),
+    SCALE,
+    Field::opt("epsilon", Shape::range(-1.0, 100.0)),
+    SYNTH,
+    ISA,
+]);
+
+// ---------------------------------------------------------------- fields
 
 fn parse_body(body: &str) -> Result<Value, ApiError> {
     if body.trim().is_empty() {
@@ -84,140 +159,86 @@ fn parse_body(body: &str) -> Result<Value, ApiError> {
     parse(body).map_err(|e| ApiError::new("parse", "", e.to_string()))
 }
 
-fn members<'a>(v: &'a Value, pointer: &str) -> Result<&'a [(String, Value)], ApiError> {
-    match v {
-        Value::Obj(m) => Ok(m),
-        _ => Err(ApiError::new("bad_type", pointer, "expected an object")),
-    }
+/// Decodes array field `key` item by item: each item's shape is checked,
+/// then `decode` sees it with its pointer and the items decoded before
+/// it. `None` when the field is absent.
+fn list<T>(
+    obj: &Object<'_>,
+    key: &str,
+    mut decode: impl FnMut(&Value, &str, &[T]) -> Result<T, ApiError>,
+) -> Result<Option<Vec<T>>, ApiError> {
+    let mut out = Vec::new();
+    let present = obj.each(key, |item, pointer| {
+        let decoded = decode(item, pointer, &out)?;
+        out.push(decoded);
+        Ok::<_, ApiError>(())
+    })?;
+    Ok(present.then_some(out))
 }
 
-fn reject_unknown(v: &Value, pointer: &str, allowed: &[&str]) -> Result<(), ApiError> {
-    for (key, _) in members(v, pointer)? {
-        if !allowed.contains(&key.as_str()) {
+fn kernel_named(name: &str, pointer: &str) -> Result<Kernel, ApiError> {
+    Kernel::from_name(name)
+        .ok_or_else(|| ApiError::new("bad_value", pointer, format!("unknown kernel {name:?}")))
+}
+
+fn kernel_field(obj: &Object<'_>) -> Result<Kernel, ApiError> {
+    kernel_named(
+        obj.get("kernel")?
+            .and_then(Value::as_str)
+            .unwrap_or_default(),
+        "/kernel",
+    )
+}
+
+/// The `kernels` list: known names, no duplicates.
+fn kernel_list(obj: &Object<'_>) -> Result<Option<Vec<Kernel>>, ApiError> {
+    list(obj, "kernels", |item, pointer, seen| {
+        let name = item.as_str().unwrap_or_default();
+        let kernel = kernel_named(name, pointer)?;
+        if seen.contains(&kernel) {
             return Err(ApiError::new(
-                "unknown_field",
-                &format!("{pointer}/{key}"),
-                format!("unknown field (allowed: {})", allowed.join(", ")),
+                "bad_value",
+                pointer,
+                format!("duplicate kernel {name:?}"),
             ));
         }
-    }
-    Ok(())
-}
-
-fn opt_str<'a>(v: &'a Value, pointer: &str, key: &str) -> Result<Option<&'a str>, ApiError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s)),
-        Some(_) => Err(ApiError::new(
-            "bad_type",
-            &format!("{pointer}/{key}"),
-            "expected a string",
-        )),
-    }
-}
-
-fn opt_bool(v: &Value, pointer: &str, key: &str) -> Result<Option<bool>, ApiError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(ApiError::new(
-            "bad_type",
-            &format!("{pointer}/{key}"),
-            "expected a boolean",
-        )),
-    }
-}
-
-fn opt_f64(v: &Value, pointer: &str, key: &str) -> Result<Option<f64>, ApiError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Num(n)) => Ok(Some(*n)),
-        Some(_) => Err(ApiError::new(
-            "bad_type",
-            &format!("{pointer}/{key}"),
-            "expected a number",
-        )),
-    }
-}
-
-fn opt_uint(
-    v: &Value,
-    pointer: &str,
-    key: &str,
-    min: u64,
-    max: u64,
-) -> Result<Option<u64>, ApiError> {
-    let Some(n) = opt_f64(v, pointer, key)? else {
-        return Ok(None);
-    };
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let int = n as u64;
-    if n.fract() != 0.0 || n < 0.0 || !(min..=max).contains(&int) {
-        return Err(ApiError::new(
-            "bad_value",
-            &format!("{pointer}/{key}"),
-            format!("expected an integer in [{min}, {max}], got {n}"),
-        ));
-    }
-    Ok(Some(int))
-}
-
-fn kernel_field(v: &Value, pointer: &str) -> Result<Kernel, ApiError> {
-    let name = opt_str(v, pointer, "kernel")?.ok_or_else(|| {
-        ApiError::new(
-            "missing_field",
-            &format!("{pointer}/kernel"),
-            "a kernel name is required",
-        )
-    })?;
-    Kernel::from_name(name).ok_or_else(|| {
-        ApiError::new(
-            "bad_value",
-            &format!("{pointer}/kernel"),
-            format!("unknown kernel {name:?}"),
-        )
+        Ok(kernel)
     })
 }
 
-fn scale_field(v: &Value, pointer: &str) -> Result<Scale, ApiError> {
-    let n = opt_uint(v, pointer, "scale", 1, u64::from(MAX_SCALE))?.map_or_else(
-        || Scale::test().n,
-        |n| u32::try_from(n).unwrap_or(MAX_SCALE),
-    );
+/// A list of numbers.
+fn number_list(obj: &Object<'_>, key: &str) -> Result<Option<Vec<f64>>, ApiError> {
+    list(obj, key, |item, _, _| Ok(item.as_f64().unwrap_or_default()))
+}
+
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+fn scale_field(obj: &Object<'_>) -> Result<Scale, ApiError> {
+    let n = obj
+        .get("scale")?
+        .and_then(Value::as_f64)
+        .map_or(Scale::test().n, |n| n as u32);
     Ok(Scale { n })
 }
 
-/// Parses the optional `"synth"` override object on top of a scenario's
-/// default options.
-fn synth_field(v: &Value, pointer: &str, base: SynthOptions) -> Result<SynthOptions, ApiError> {
-    let Some(synth) = v.get("synth") else {
+/// Overlays the optional `"synth"` object on a scenario's default options.
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+fn synth_field(obj: &Object<'_>, base: SynthOptions) -> Result<SynthOptions, ApiError> {
+    let Some(synth) = obj.get("synth")? else {
         return Ok(base);
     };
-    let sp = format!("{pointer}/synth");
-    reject_unknown(
-        synth,
-        &sp,
-        &["toggle_aware", "reg_bits", "space_budget", "max_dict_bits"],
-    )?;
+    let num = |key| synth.get(key).and_then(Value::as_f64);
     let mut options = base;
-    if let Some(b) = opt_bool(synth, &sp, "toggle_aware")? {
-        options.toggle_aware = b;
+    if let Some(Value::Bool(b)) = synth.get("toggle_aware") {
+        options.toggle_aware = *b;
     }
-    if let Some(bits) = opt_uint(synth, &sp, "reg_bits", 3, 4)? {
-        options.reg_bits = u8::try_from(bits).unwrap_or(4);
+    if let Some(bits) = num("reg_bits") {
+        options.reg_bits = bits as u8;
     }
-    if let Some(budget) = opt_f64(synth, &sp, "space_budget")? {
-        if !(budget > 0.0 && budget <= 1.0) {
-            return Err(ApiError::new(
-                "bad_value",
-                &format!("{sp}/space_budget"),
-                format!("expected a fraction in (0, 1], got {budget}"),
-            ));
-        }
+    if let Some(budget) = num("space_budget") {
         options.space_budget = budget;
     }
-    if let Some(bits) = opt_uint(synth, &sp, "max_dict_bits", 0, 12)? {
-        options.max_dict_bits = u8::try_from(bits).unwrap_or(6);
+    if let Some(bits) = num("max_dict_bits") {
+        options.max_dict_bits = bits as u8;
     }
     Ok(options)
 }
@@ -229,20 +250,19 @@ fn synth_field(v: &Value, pointer: &str, base: SynthOptions) -> Result<SynthOpti
 /// with the `ISA` verification family before any work is scheduled, so a
 /// spec with ambiguous or non-round-tripping forms is rejected as a 400,
 /// never handed to the pipeline.
-fn isa_field(v: &Value, pointer: &str) -> Result<Option<Arc<SpecCatalog>>, ApiError> {
-    let Some(text) = opt_str(v, pointer, "isa")? else {
+fn isa_field(obj: &Object<'_>) -> Result<Option<Arc<SpecCatalog>>, ApiError> {
+    let Some(text) = obj.get("isa")?.and_then(Value::as_str) else {
         return Ok(None);
     };
     if text == "builtin" {
         return Ok(None);
     }
-    let ip = format!("{pointer}/isa");
     let spec = IsaSpec::load(text)
-        .map_err(|e| ApiError::new("bad_value", &ip, format!("ISA spec rejected: {e}")))?;
+        .map_err(|e| ApiError::new("bad_value", "/isa", format!("ISA spec rejected: {e}")))?;
     if spec.word_width != 32 {
         return Err(ApiError::new(
             "bad_value",
-            &ip,
+            "/isa",
             format!(
                 "only a 32-bit (AR32-shaped) spec can replace the execution ISA, \
                  got word-width {}",
@@ -254,7 +274,7 @@ fn isa_field(v: &Value, pointer: &str) -> Result<Option<Arc<SpecCatalog>>, ApiEr
     if let Some(d) = report.diagnostics.first() {
         return Err(ApiError::new(
             "bad_value",
-            &ip,
+            "/isa",
             format!("ISA spec fails validation ({}): {}", d.code, d.message),
         ));
     }
@@ -275,20 +295,25 @@ fn isa_suffix(isa: Option<&Arc<SpecCatalog>>) -> String {
     isa.map_or_else(String::new, |c| format!("|isa={}", c.hash_hex()))
 }
 
-fn scenario_fields(v: &Value, pointer: &str) -> Result<(String, ScenarioSpec), ApiError> {
-    let preset = opt_str(v, pointer, "scenario")?
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+fn scenario_fields(obj: &Object<'_>) -> Result<(String, ScenarioSpec), ApiError> {
+    let preset = obj
+        .get("scenario")?
+        .and_then(Value::as_str)
         .unwrap_or("sa1100")
         .to_string();
-    let tech = opt_str(v, pointer, "tech")?;
-    let icache = opt_uint(v, pointer, "icache_bytes", 256, 1 << 24)?
-        .map(|n| u32::try_from(n).unwrap_or(u32::MAX));
+    let tech = obj.get("tech")?.and_then(Value::as_str);
+    let icache = obj
+        .get("icache_bytes")?
+        .and_then(Value::as_f64)
+        .map(|n| n as u32);
     let spec = ScenarioSpec::resolve(&preset, tech, icache).map_err(|e| {
         let field = match &e {
             fits_scenario::ScenarioError::UnknownPreset { .. } => "scenario",
             fits_scenario::ScenarioError::UnknownTech { .. } => "tech",
             _ => "icache_bytes",
         };
-        ApiError::new("bad_value", &format!("{pointer}/{field}"), e.to_string())
+        ApiError::new("bad_value", &format!("/{field}"), e.to_string())
     })?;
     let canonical = format!(
         "preset={preset}|tech={}|icache={}",
@@ -320,13 +345,13 @@ impl SynthesizeRequest {
     ///
     /// A structured [`ApiError`] naming the offending field.
     pub fn from_body(body: &str) -> Result<SynthesizeRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(&v, "", &["kernel", "scale", "synth", "isa"])?;
+        let doc = parse_body(body)?;
+        let obj = schema::object(&doc, "", &SYNTHESIZE)?;
         Ok(SynthesizeRequest {
-            kernel: kernel_field(&v, "")?,
-            scale: scale_field(&v, "")?,
-            synth: synth_field(&v, "", SynthOptions::default())?,
-            isa: isa_field(&v, "")?,
+            kernel: kernel_field(&obj)?,
+            scale: scale_field(&obj)?,
+            synth: synth_field(&obj, SynthOptions::default())?,
+            isa: isa_field(&obj)?,
         })
     }
 
@@ -366,30 +391,18 @@ impl SimulateRequest {
     ///
     /// A structured [`ApiError`] naming the offending field.
     pub fn from_body(body: &str) -> Result<SimulateRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(
-            &v,
-            "",
-            &[
-                "kernel",
-                "scale",
-                "scenario",
-                "tech",
-                "icache_bytes",
-                "synth",
-                "isa",
-            ],
-        )?;
-        let kernel = kernel_field(&v, "")?;
-        let scale = scale_field(&v, "")?;
-        let (scenario_canonical, scenario) = scenario_fields(&v, "")?;
-        let synth = synth_field(&v, "", scenario.synth.clone())?;
+        let doc = parse_body(body)?;
+        let obj = schema::object(&doc, "", &SIMULATE)?;
+        let kernel = kernel_field(&obj)?;
+        let scale = scale_field(&obj)?;
+        let (scenario_canonical, scenario) = scenario_fields(&obj)?;
+        let synth = synth_field(&obj, scenario.synth.clone())?;
         Ok(SimulateRequest {
             kernel,
             scale,
             scenario,
             synth,
-            isa: isa_field(&v, "")?,
+            isa: isa_field(&obj)?,
             scenario_canonical,
         })
     }
@@ -436,33 +449,20 @@ impl AnalyzeRequest {
     ///
     /// A structured [`ApiError`] naming the offending field.
     pub fn from_body(body: &str) -> Result<AnalyzeRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(
-            &v,
-            "",
-            &[
-                "kernel",
-                "scale",
-                "scenario",
-                "tech",
-                "icache_bytes",
-                "synth",
-                "static_only",
-                "isa",
-            ],
-        )?;
-        let kernel = kernel_field(&v, "")?;
-        let scale = scale_field(&v, "")?;
-        let (scenario_canonical, scenario) = scenario_fields(&v, "")?;
-        let synth = synth_field(&v, "", scenario.synth.clone())?;
-        let static_only = opt_bool(&v, "", "static_only")?.unwrap_or(false);
+        let doc = parse_body(body)?;
+        let obj = schema::object(&doc, "", &ANALYZE)?;
+        let kernel = kernel_field(&obj)?;
+        let scale = scale_field(&obj)?;
+        let (scenario_canonical, scenario) = scenario_fields(&obj)?;
+        let synth = synth_field(&obj, scenario.synth.clone())?;
+        let static_only = obj.get("static_only")? == Some(&Value::Bool(true));
         Ok(AnalyzeRequest {
             kernel,
             scale,
             scenario,
             synth,
             static_only,
-            isa: isa_field(&v, "")?,
+            isa: isa_field(&obj)?,
             scenario_canonical,
         })
     }
@@ -507,59 +507,15 @@ impl SweepRequest {
     ///
     /// A structured [`ApiError`] naming the offending field.
     pub fn from_body(body: &str) -> Result<SweepRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(
-            &v,
-            "",
-            &[
-                "kernels",
-                "scale",
-                "scenario",
-                "icache_bytes",
-                "tech",
-                "synth",
-                "isa",
-            ],
-        )?;
-        let scale = scale_field(&v, "")?;
-
-        let kernels = match v.get("kernels") {
-            None => Kernel::ALL.to_vec(),
-            Some(Value::Arr(items)) => {
-                let mut kernels = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let name = item.as_str().ok_or_else(|| {
-                        ApiError::new("bad_type", &format!("/kernels/{i}"), "expected a string")
-                    })?;
-                    let k = Kernel::from_name(name).ok_or_else(|| {
-                        ApiError::new(
-                            "bad_value",
-                            &format!("/kernels/{i}"),
-                            format!("unknown kernel {name:?}"),
-                        )
-                    })?;
-                    if kernels.contains(&k) {
-                        return Err(ApiError::new(
-                            "bad_value",
-                            &format!("/kernels/{i}"),
-                            format!("duplicate kernel {name:?}"),
-                        ));
-                    }
-                    kernels.push(k);
-                }
-                if kernels.is_empty() {
-                    return Err(ApiError::new(
-                        "bad_value",
-                        "/kernels",
-                        "kernel list must not be empty",
-                    ));
-                }
-                kernels
-            }
-            Some(_) => return Err(ApiError::new("bad_type", "/kernels", "expected an array")),
-        };
-
-        let preset = opt_str(&v, "", "scenario")?.unwrap_or("sa1100").to_string();
+        let doc = parse_body(body)?;
+        let obj = schema::object(&doc, "", &SWEEP)?;
+        let scale = scale_field(&obj)?;
+        let kernels = kernel_list(&obj)?.unwrap_or_else(|| Kernel::ALL.to_vec());
+        let preset = obj
+            .get("scenario")?
+            .and_then(Value::as_str)
+            .unwrap_or("sa1100")
+            .to_string();
         let base = ScenarioSpec::preset(&preset).ok_or_else(|| {
             ApiError::new(
                 "bad_value",
@@ -570,82 +526,29 @@ impl SweepRequest {
                 ),
             )
         })?;
-
-        let sizes: Vec<u32> = match v.get("icache_bytes") {
-            None => vec![16 * 1024, 8 * 1024],
-            Some(Value::Arr(items)) => {
-                if items.is_empty() || items.len() > MAX_SWEEP_SIZES {
-                    return Err(ApiError::new(
-                        "bad_value",
-                        "/icache_bytes",
-                        format!("expected 1..={MAX_SWEEP_SIZES} sizes"),
-                    ));
-                }
-                let mut sizes = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let n = item.as_f64().ok_or_else(|| {
-                        ApiError::new(
-                            "bad_type",
-                            &format!("/icache_bytes/{i}"),
-                            "expected a number",
-                        )
-                    })?;
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    let bytes = n as u32;
-                    if n.fract() != 0.0 || !(256.0..=16_777_216.0).contains(&n) {
-                        return Err(ApiError::new(
-                            "bad_value",
-                            &format!("/icache_bytes/{i}"),
-                            format!("expected an integer byte count in [256, 2^24], got {n}"),
-                        ));
-                    }
-                    sizes.push(bytes);
-                }
-                sizes
-            }
-            Some(_) => {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let sizes: Vec<u32> = number_list(&obj, "icache_bytes")?.map_or_else(
+            || vec![16 * 1024, 8 * 1024],
+            |sizes| sizes.iter().map(|&n| n as u32).collect(),
+        );
+        let tech_names = list(&obj, "tech", |item, pointer, _| {
+            let name = item.as_str().unwrap_or_default();
+            if tech_preset(name).is_none() {
                 return Err(ApiError::new(
-                    "bad_type",
-                    "/icache_bytes",
-                    "expected an array",
-                ))
+                    "bad_value",
+                    pointer,
+                    format!(
+                        "unknown tech node {name:?} (nodes: {})",
+                        TECH_NAMES.join(" ")
+                    ),
+                ));
             }
-        };
+            Ok(name.to_string())
+        })?
+        .unwrap_or_else(|| vec![base.tech_name.clone()]);
 
-        let tech_names: Vec<String> = match v.get("tech") {
-            None => vec![base.tech_name.clone()],
-            Some(Value::Arr(items)) => {
-                if items.is_empty() {
-                    return Err(ApiError::new(
-                        "bad_value",
-                        "/tech",
-                        "tech list must not be empty",
-                    ));
-                }
-                let mut names = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let name = item.as_str().ok_or_else(|| {
-                        ApiError::new("bad_type", &format!("/tech/{i}"), "expected a string")
-                    })?;
-                    if tech_preset(name).is_none() {
-                        return Err(ApiError::new(
-                            "bad_value",
-                            &format!("/tech/{i}"),
-                            format!(
-                                "unknown tech node {name:?} (nodes: {})",
-                                TECH_NAMES.join(" ")
-                            ),
-                        ));
-                    }
-                    names.push(name.to_string());
-                }
-                names
-            }
-            Some(_) => return Err(ApiError::new("bad_type", "/tech", "expected an array")),
-        };
-
-        let synth = synth_field(&v, "", base.synth.clone())?;
-        let isa = isa_field(&v, "")?;
+        let synth = synth_field(&obj, base.synth.clone())?;
+        let isa = isa_field(&obj)?;
         let nodes: Vec<(String, fits_power::TechParams)> = tech_names
             .iter()
             .map(|name| {
@@ -728,73 +631,21 @@ impl SynthesizeMultiRequest {
     /// weight vectors (all-zero, negative, non-finite) are `bad_value`
     /// rejections at `/weights`, never panics.
     pub fn from_body(body: &str) -> Result<SynthesizeMultiRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(
-            &v,
-            "",
-            &["kernels", "weights", "scale", "epsilon", "synth", "isa"],
-        )?;
-        let raw_kernels = match v.get("kernels") {
-            Some(Value::Arr(items)) if !items.is_empty() => {
-                let mut kernels = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let name = item.as_str().ok_or_else(|| {
-                        ApiError::new("bad_type", &format!("/kernels/{i}"), "expected a string")
-                    })?;
-                    let k = Kernel::from_name(name).ok_or_else(|| {
-                        ApiError::new(
-                            "bad_value",
-                            &format!("/kernels/{i}"),
-                            format!("unknown kernel {name:?}"),
-                        )
-                    })?;
-                    if kernels.contains(&k) {
-                        return Err(ApiError::new(
-                            "bad_value",
-                            &format!("/kernels/{i}"),
-                            format!("duplicate kernel {name:?}"),
-                        ));
-                    }
-                    kernels.push(k);
-                }
-                kernels
-            }
-            Some(Value::Arr(_)) => {
+        let doc = parse_body(body)?;
+        let obj = schema::object(&doc, "", &SYNTHESIZE_MULTI)?;
+        let raw_kernels = kernel_list(&obj)?.unwrap_or_default();
+        // The length must match before any weight's type is checked.
+        if let Some(Value::Arr(items)) = doc.get("weights") {
+            if items.len() != raw_kernels.len() {
                 return Err(ApiError::new(
                     "bad_value",
-                    "/kernels",
-                    "kernel list must not be empty",
-                ))
+                    "/weights",
+                    format!("{} weights for {} kernels", items.len(), raw_kernels.len()),
+                ));
             }
-            Some(_) => return Err(ApiError::new("bad_type", "/kernels", "expected an array")),
-            None => {
-                return Err(ApiError::new(
-                    "missing_field",
-                    "/kernels",
-                    "a kernel list is required",
-                ))
-            }
-        };
-        let raw_weights: Vec<f64> = match v.get("weights") {
-            None => vec![1.0; raw_kernels.len()],
-            Some(Value::Arr(items)) => {
-                if items.len() != raw_kernels.len() {
-                    return Err(ApiError::new(
-                        "bad_value",
-                        "/weights",
-                        format!("{} weights for {} kernels", items.len(), raw_kernels.len()),
-                    ));
-                }
-                let mut weights = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    weights.push(item.as_f64().ok_or_else(|| {
-                        ApiError::new("bad_type", &format!("/weights/{i}"), "expected a number")
-                    })?);
-                }
-                weights
-            }
-            Some(_) => return Err(ApiError::new("bad_type", "/weights", "expected an array")),
-        };
+        }
+        let raw_weights =
+            number_list(&obj, "weights")?.unwrap_or_else(|| vec![1.0; raw_kernels.len()]);
 
         // Sort members by kernel name, then canonicalize the weights in
         // that order: the cache key must not depend on request spelling.
@@ -819,22 +670,13 @@ impl SynthesizeMultiRequest {
             .map(|(_, &w)| w)
             .collect();
 
-        let epsilon = opt_f64(&v, "", "epsilon")?.unwrap_or(1.0);
-        if !epsilon.is_finite() || !(-1.0..=100.0).contains(&epsilon) {
-            return Err(ApiError::new(
-                "bad_value",
-                "/epsilon",
-                format!("expected a number in [-1, 100], got {epsilon}"),
-            ));
-        }
-
         Ok(SynthesizeMultiRequest {
             kernels,
             weights,
-            scale: scale_field(&v, "")?,
-            epsilon,
-            synth: synth_field(&v, "", SynthOptions::default())?,
-            isa: isa_field(&v, "")?,
+            epsilon: obj.get("epsilon")?.and_then(Value::as_f64).unwrap_or(1.0),
+            scale: scale_field(&obj)?,
+            synth: synth_field(&obj, SynthOptions::default())?,
+            isa: isa_field(&obj)?,
         })
     }
 
@@ -1201,37 +1043,123 @@ pub fn internal_error_body(err: &ExperimentError) -> String {
 
 // ---------------------------------------------------------------- validation
 
-fn need_str(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Value::Str(_)) => Ok(()),
-        _ => Err(format!("{ctx}: missing string field \"{key}\"")),
-    }
-}
-
-fn need_num(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Value::Num(_)) => Ok(()),
-        _ => Err(format!("{ctx}: missing number field \"{key}\"")),
-    }
-}
-
-fn need_isa(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    let side = v
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing object field \"{key}\""))?;
-    for field in [
-        "cycles",
-        "icache_j",
-        "icache_switching_j",
-        "icache_internal_j",
-        "icache_leakage_j",
-        "chip_j",
-        "peak_w",
-    ] {
-        need_num(&format!("{ctx} \"{key}\""), side, field)?;
-    }
-    Ok(())
-}
+const NUM: Shape = Shape::NUM;
+const HEAD: Shape = Shape::obj(&[
+    Field::req("schema", Shape::one_of(&[SCHEMA])),
+    Field::req("endpoint", STR),
+]);
+const HEALTHZ: Shape = Shape::obj(&[
+    Field::req("status commit", STR),
+    Field::req("kernels schema_version uptime_s", NUM),
+]);
+const GAUGE: Shape = Shape::obj(&[Field::req("last min max mean samples", NUM)]);
+const METRICS: Shape = Shape::obj(&[
+    Field::req(
+        "requests ok client_errors server_errors rejected cache_hits coalesced_joins \
+         executions cache_entries queue_depth queue_capacity workers uptime_s",
+        NUM,
+    ),
+    Field::req(
+        "latency_us",
+        Shape::obj(&[Field::req("count mean p50 p99 max", NUM)]),
+    ),
+    Field::req("log", Shape::obj(&[Field::req("emitted dropped", NUM)])),
+    Field::req(
+        "window",
+        Shape::arr(&Shape::obj(&[
+            Field::req("endpoint class", STR),
+            Field::req("count rate_per_sec mean p50 p99 max", NUM),
+        ])),
+    ),
+    Field::req(
+        "gauges",
+        Shape::obj(&[Field::req("queue_depth cache_entries", GAUGE)]),
+    ),
+    Field::req(
+        "spans",
+        Shape::arr(&Shape::obj(&[
+            Field::req("path", STR),
+            Field::req("ms count", NUM),
+        ])),
+    ),
+]);
+const SYNTHESIZE_BODY: Shape = Shape::obj(&[
+    Field::req("kernel", STR),
+    Field::req(
+        "scale_n arm_code_bytes thumb_code_bytes fits_code_bytes code_ratio mapping_static \
+         mapping_dynamic config_bits iterations",
+        NUM,
+    ),
+]);
+const SIMULATE_BODY: Shape = Shape::obj(&[
+    Field::req("kernel scenario tech", STR),
+    Field::req("scale_n icache_bytes icache_saving chip_saving", NUM),
+    Field::req("arm fits", ISA_TOTALS),
+]);
+const SWEEP_BODY: Shape = Shape::obj(&[
+    Field::req("scale_n executions_per_kernel", NUM),
+    Field::req(
+        "scenarios",
+        Shape::non_empty(&Shape::obj(&[
+            Field::req("id", STR),
+            Field::req("arm fits", ISA_TOTALS),
+        ])),
+    ),
+]);
+const MULTI_BODY: Shape = Shape::obj(&[
+    Field::req("kernels weights", Shape::non_empty(&Shape::ANY)),
+    Field::req("scale_n epsilon", NUM),
+    Field::req("accepted", Shape::BOOL),
+]);
+const MULTI_ACCEPTED: Shape = Shape::obj(&[
+    Field::req("merged_profile", STR),
+    Field::req(
+        "shared",
+        Shape::obj(&[Field::req(
+            "code_bytes config_bits decoder_slots iterations",
+            NUM,
+        )]),
+    ),
+    Field::req(
+        "members",
+        Shape::non_empty(&Shape::obj(&[
+            Field::req("kernel", STR),
+            Field::req("solo_code_bytes shared_code_bytes regression", NUM),
+            Field::req("solo shared", ISA_TOTALS),
+        ])),
+    ),
+]);
+const MULTI_REJECTED: Shape = Shape::obj(&[Field::req(
+    "rejected",
+    Shape::obj(&[
+        Field::req("member", STR),
+        Field::req("solo_expansion shared_expansion epsilon", NUM),
+    ]),
+)]);
+const AUDITED: Shape = Shape::obj(&[Field::req("audit_findings", NUM)]);
+const ANALYZE_BODY: Shape = Shape::obj(&[
+    Field::req("kernel scenario", STR),
+    Field::req("scale_n", NUM),
+    Field::req("sound traced", Shape::BOOL),
+    Field::req(
+        "report",
+        Shape::obj(&[
+            Field::req("schema", Shape::one_of(&["powerfits-cache-bounds-v1"])),
+            Field::req(
+                "kernels",
+                Shape::non_empty(&Shape::obj(&[
+                    Field::req("kernel", STR),
+                    Field::req("arm fits", AUDITED),
+                ])),
+            ),
+            Field::req("sound", Shape::BOOL),
+        ]),
+    ),
+]);
+const ERROR_BODY: Shape = Shape::obj(&[Field::req(
+    "error",
+    Shape::obj(&[Field::req("code pointer message", STR)]),
+)]);
 
 /// Validates any `fitsd` response body against the `powerfits-serve-v1`
 /// schema and returns the endpoint it claims to be. `fitsctl` runs this
@@ -1243,243 +1171,64 @@ fn need_isa(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
 /// A description of the first violation.
 pub fn validate_serve_json(text: &str) -> Result<String, String> {
     let v = parse(text).map_err(|e| e.to_string())?;
-    match v.get("schema").and_then(Value::as_str) {
-        Some(SCHEMA) => {}
-        other => return Err(format!("schema must be \"{SCHEMA}\", got {other:?}")),
-    }
+    check(&v, "", &HEAD).map_err(|e| e.to_string())?;
     let endpoint = v
         .get("endpoint")
         .and_then(Value::as_str)
-        .ok_or_else(|| "missing string field \"endpoint\"".to_string())?
-        .to_string();
-    match endpoint.as_str() {
-        "healthz" => {
-            need_str("healthz", &v, "status")?;
-            if v.get("status").and_then(Value::as_str) != Some("ok") {
-                return Err("healthz status is not \"ok\"".to_string());
-            }
-            need_num("healthz", &v, "kernels")?;
-            need_num("healthz", &v, "schema_version")?;
-            need_num("healthz", &v, "uptime_s")?;
-            need_str("healthz", &v, "commit")?;
-        }
-        "metrics" => {
-            for key in [
-                "requests",
-                "ok",
-                "client_errors",
-                "server_errors",
-                "rejected",
-                "cache_hits",
-                "coalesced_joins",
-                "executions",
-                "cache_entries",
-                "queue_depth",
-                "queue_capacity",
-                "workers",
-            ] {
-                need_num("metrics", &v, key)?;
-            }
-            need_num("metrics", &v, "uptime_s")?;
-            let lat = v
-                .get("latency_us")
-                .ok_or_else(|| "metrics: missing object field \"latency_us\"".to_string())?;
-            for key in ["count", "mean", "p50", "p99", "max"] {
-                need_num("metrics latency_us", lat, key)?;
-            }
-            let log = v
-                .get("log")
-                .ok_or_else(|| "metrics: missing object field \"log\"".to_string())?;
-            need_num("metrics log", log, "emitted")?;
-            need_num("metrics log", log, "dropped")?;
-            match v.get("window") {
-                Some(Value::Arr(cells)) => {
-                    for (i, cell) in cells.iter().enumerate() {
-                        let ctx = format!("metrics window {i}");
-                        need_str(&ctx, cell, "endpoint")?;
-                        need_str(&ctx, cell, "class")?;
-                        for key in ["count", "rate_per_sec", "mean", "p50", "p99", "max"] {
-                            need_num(&ctx, cell, key)?;
-                        }
-                    }
-                }
-                _ => return Err("metrics: missing array field \"window\"".to_string()),
-            }
-            let gauges = v
-                .get("gauges")
-                .ok_or_else(|| "metrics: missing object field \"gauges\"".to_string())?;
-            for name in ["queue_depth", "cache_entries"] {
-                let g = gauges
-                    .get(name)
-                    .ok_or_else(|| format!("metrics gauges: missing object \"{name}\""))?;
-                for key in ["last", "min", "max", "mean", "samples"] {
-                    need_num(&format!("metrics gauge {name}"), g, key)?;
-                }
-            }
-            match v.get("spans") {
-                Some(Value::Arr(spans)) => {
-                    for (i, span) in spans.iter().enumerate() {
-                        let ctx = format!("metrics span {i}");
-                        need_str(&ctx, span, "path")?;
-                        need_num(&ctx, span, "ms")?;
-                        need_num(&ctx, span, "count")?;
-                    }
-                }
-                _ => return Err("metrics: missing array field \"spans\"".to_string()),
-            }
-        }
-        "synthesize" => {
-            need_str("synthesize", &v, "kernel")?;
-            for key in [
-                "scale_n",
-                "arm_code_bytes",
-                "thumb_code_bytes",
-                "fits_code_bytes",
-                "code_ratio",
-                "mapping_static",
-                "mapping_dynamic",
-                "config_bits",
-                "iterations",
-            ] {
-                need_num("synthesize", &v, key)?;
-            }
-        }
-        "simulate" => {
-            need_str("simulate", &v, "kernel")?;
-            need_str("simulate", &v, "scenario")?;
-            need_str("simulate", &v, "tech")?;
-            for key in ["scale_n", "icache_bytes", "icache_saving", "chip_saving"] {
-                need_num("simulate", &v, key)?;
-            }
-            need_isa("simulate", &v, "arm")?;
-            need_isa("simulate", &v, "fits")?;
-        }
-        "sweep" => {
-            need_num("sweep", &v, "scale_n")?;
-            need_num("sweep", &v, "executions_per_kernel")?;
-            let scenarios = match v.get("scenarios") {
-                Some(Value::Arr(items)) if !items.is_empty() => items,
-                _ => return Err("sweep: missing non-empty array \"scenarios\"".to_string()),
-            };
-            for (i, s) in scenarios.iter().enumerate() {
-                let ctx = format!("sweep scenario {i}");
-                need_str(&ctx, s, "id")?;
-                need_isa(&ctx, s, "arm")?;
-                need_isa(&ctx, s, "fits")?;
-            }
+        .unwrap_or_default();
+    let shape = match endpoint {
+        "healthz" => &HEALTHZ,
+        "metrics" => &METRICS,
+        "synthesize" => &SYNTHESIZE_BODY,
+        "simulate" => &SIMULATE_BODY,
+        "sweep" => &SWEEP_BODY,
+        "synthesize-multi" => &MULTI_BODY,
+        "analyze" => &ANALYZE_BODY,
+        "error" => &ERROR_BODY,
+        other => return Err(format!("unknown endpoint \"{other}\"")),
+    };
+    let fail = |e: Violation| format!("{endpoint}: {e}");
+    check(&v, "", shape).map_err(fail)?;
+    match endpoint {
+        "healthz" if v.get("status").and_then(Value::as_str) != Some("ok") => {
+            return Err("healthz status is not \"ok\"".to_string());
         }
         "synthesize-multi" => {
-            for key in ["kernels", "weights"] {
-                match v.get(key) {
-                    Some(Value::Arr(items)) if !items.is_empty() => {}
-                    _ => {
-                        return Err(format!(
-                            "synthesize-multi: missing non-empty array \"{key}\""
-                        ))
-                    }
-                }
-            }
-            need_num("synthesize-multi", &v, "scale_n")?;
-            if !matches!(v.get("epsilon"), Some(Value::Num(_))) {
-                return Err("synthesize-multi: missing number field \"epsilon\"".to_string());
-            }
-            match v.get("accepted") {
-                Some(Value::Bool(true)) => {
-                    need_str("synthesize-multi", &v, "merged_profile")?;
-                    let shared = v.get("shared").ok_or_else(|| {
-                        "synthesize-multi: missing object field \"shared\"".to_string()
-                    })?;
-                    for key in ["code_bytes", "config_bits", "decoder_slots", "iterations"] {
-                        need_num("synthesize-multi shared", shared, key)?;
-                    }
-                    let members = match v.get("members") {
-                        Some(Value::Arr(items)) if !items.is_empty() => items,
-                        _ => {
-                            return Err(
-                                "synthesize-multi: missing non-empty array \"members\"".to_string()
-                            )
-                        }
-                    };
-                    for (i, m) in members.iter().enumerate() {
-                        let ctx = format!("synthesize-multi member {i}");
-                        need_str(&ctx, m, "kernel")?;
-                        for key in ["solo_code_bytes", "shared_code_bytes", "regression"] {
-                            need_num(&ctx, m, key)?;
-                        }
-                        need_isa(&ctx, m, "solo")?;
-                        need_isa(&ctx, m, "shared")?;
-                    }
-                }
-                Some(Value::Bool(false)) => {
-                    let rejected = v.get("rejected").ok_or_else(|| {
-                        "synthesize-multi: missing object field \"rejected\"".to_string()
-                    })?;
-                    need_str("synthesize-multi rejected", rejected, "member")?;
-                    for key in ["solo_expansion", "shared_expansion", "epsilon"] {
-                        if !matches!(rejected.get(key), Some(Value::Num(_))) {
-                            return Err(format!(
-                                "synthesize-multi rejected: missing number field \"{key}\""
-                            ));
-                        }
-                    }
-                }
-                _ => return Err("synthesize-multi: missing boolean field \"accepted\"".to_string()),
-            }
-        }
-        "analyze" => {
-            need_str("analyze", &v, "kernel")?;
-            need_str("analyze", &v, "scenario")?;
-            need_num("analyze", &v, "scale_n")?;
-            let sound = match v.get("sound") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err("analyze: missing boolean field \"sound\"".to_string()),
+            let accepted = v.get("accepted") == Some(&Value::Bool(true));
+            let outcome = if accepted {
+                &MULTI_ACCEPTED
+            } else {
+                &MULTI_REJECTED
             };
-            if !matches!(v.get("traced"), Some(Value::Bool(_))) {
-                return Err("analyze: missing boolean field \"traced\"".to_string());
-            }
-            let report = v
-                .get("report")
-                .ok_or_else(|| "analyze: missing object field \"report\"".to_string())?;
-            if report.get("schema").and_then(Value::as_str) != Some("powerfits-cache-bounds-v1") {
-                return Err(
-                    "analyze: embedded report schema is not \"powerfits-cache-bounds-v1\""
-                        .to_string(),
-                );
-            }
-            match report.get("kernels") {
-                Some(Value::Arr(items)) if !items.is_empty() => {
-                    for (i, k) in items.iter().enumerate() {
-                        let ctx = format!("analyze report kernel {i}");
-                        need_str(&ctx, k, "kernel")?;
-                        for side in ["arm", "fits"] {
-                            let stream = k
-                                .get(side)
-                                .ok_or_else(|| format!("{ctx}: missing object field \"{side}\""))?;
-                            need_num(&format!("{ctx} \"{side}\""), stream, "audit_findings")?;
-                        }
-                    }
-                }
-                _ => return Err("analyze: embedded report has no kernels".to_string()),
-            }
-            match report.get("sound") {
-                Some(Value::Bool(b)) if *b == sound => {}
-                _ => {
-                    return Err("analyze: \"sound\" disagrees with the embedded report".to_string())
-                }
-            }
+            check(&v, "", outcome).map_err(fail)?;
         }
-        "error" => {
-            let err = v
-                .get("error")
-                .ok_or_else(|| "error: missing object field \"error\"".to_string())?;
-            need_str("error", err, "code")?;
-            need_str("error", err, "pointer")?;
-            need_str("error", err, "message")?;
+        "analyze" if v.get("report").and_then(|r| r.get("sound")) != v.get("sound") => {
+            return Err("analyze: \"sound\" disagrees with the embedded report".to_string());
         }
-        other => return Err(format!("unknown endpoint \"{other}\"")),
+        _ => {}
     }
-    Ok(endpoint)
+    Ok(endpoint.to_string())
 }
+
+const REQUEST_SUMMARY: Shape = Shape::obj(&[
+    Field::req("seq status us", NUM),
+    Field::req("trace method endpoint cache", STR),
+]);
+static SPAN_TREE: Shape = Shape::obj(&[
+    Field::req("name", STR),
+    Field::req("us count", NUM),
+    Field::req("children", Shape::arr(&SPAN_TREE)),
+]);
+static FLIGHT: Shape = Shape::obj(&[
+    Field::req("schema", Shape::one_of(&["powerfits-flight-v1"])),
+    Field::req("total", NUM),
+    Field::req("recent", Shape::arr(&REQUEST_SUMMARY)),
+    // Exemplars are request summaries that also carry their span trees.
+    Field::req(
+        "slowest",
+        Shape::arr(&Shape::obj(&[Field::req("spans", Shape::arr(&SPAN_TREE))])),
+    ),
+]);
 
 /// Validates a `GET /debug/flight` dump against `powerfits-flight-v1` and
 /// returns the number of slowest-request exemplars it carries. Span trees
@@ -1489,62 +1238,11 @@ pub fn validate_serve_json(text: &str) -> Result<String, String> {
 ///
 /// A description of the first violation.
 pub fn validate_flight_json(text: &str) -> Result<usize, String> {
-    fn check_span(ctx: &str, span: &Value) -> Result<(), String> {
-        need_str(ctx, span, "name")?;
-        need_num(ctx, span, "us")?;
-        need_num(ctx, span, "count")?;
-        match span.get("children") {
-            Some(Value::Arr(children)) => {
-                for child in children {
-                    check_span(ctx, child)?;
-                }
-                Ok(())
-            }
-            _ => Err(format!("{ctx}: missing array field \"children\"")),
-        }
-    }
-    fn check_summary(ctx: &str, s: &Value) -> Result<(), String> {
-        for key in ["seq", "status", "us"] {
-            need_num(ctx, s, key)?;
-        }
-        for key in ["trace", "method", "endpoint", "cache"] {
-            need_str(ctx, s, key)?;
-        }
-        Ok(())
-    }
     let v = parse(text).map_err(|e| e.to_string())?;
-    match v.get("schema").and_then(Value::as_str) {
-        Some("powerfits-flight-v1") => {}
-        other => {
-            return Err(format!(
-                "flight schema must be \"powerfits-flight-v1\", got {other:?}"
-            ))
-        }
-    }
-    need_num("flight", &v, "total")?;
-    match v.get("recent") {
-        Some(Value::Arr(items)) => {
-            for (i, s) in items.iter().enumerate() {
-                check_summary(&format!("flight recent {i}"), s)?;
-            }
-        }
-        _ => return Err("flight: missing array field \"recent\"".to_string()),
-    }
-    let slowest = match v.get("slowest") {
-        Some(Value::Arr(items)) => items,
-        _ => return Err("flight: missing array field \"slowest\"".to_string()),
-    };
-    for (i, s) in slowest.iter().enumerate() {
-        let ctx = format!("flight slowest {i}");
-        check_summary(&ctx, s)?;
-        match s.get("spans") {
-            Some(Value::Arr(spans)) => {
-                for span in spans {
-                    check_span(&ctx, span)?;
-                }
-            }
-            _ => return Err(format!("{ctx}: missing array field \"spans\"")),
-        }
+    check(&v, "", &FLIGHT).map_err(|e| e.to_string())?;
+    let slowest = v.get("slowest").and_then(Value::as_arr).unwrap_or_default();
+    for (i, exemplar) in slowest.iter().enumerate() {
+        check(exemplar, &format!("/slowest/{i}"), &REQUEST_SUMMARY).map_err(|e| e.to_string())?;
     }
     Ok(slowest.len())
 }

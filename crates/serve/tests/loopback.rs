@@ -302,3 +302,26 @@ fn proportional_multi_weights_share_one_cache_slot() {
     );
     handle.stop();
 }
+
+#[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_survives() {
+    let handle = spawn(&ServerConfig {
+        workers: 1,
+        queue_capacity: 4,
+        cache_capacity: 4,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr;
+    // ~100 KB of nested `[`: without a nesting bound the recursive parser
+    // overflows the worker's stack and aborts the process.
+    let body = "[".repeat(100_000);
+    let (status, text) = client::post(addr, "/synthesize", &body).expect("request");
+    assert_eq!(status, 400, "{text}");
+    assert_eq!(validate_serve_json(&text).unwrap(), "error");
+    assert!(text.contains("\"code\": \"parse\""), "{text}");
+    let (status, text) = client::get(addr, "/healthz").expect("healthz");
+    assert_eq!(status, 200, "{text}");
+    assert_eq!(validate_serve_json(&text).unwrap(), "healthz");
+    handle.stop();
+}
