@@ -66,7 +66,9 @@ fn bench_simulator() {
     });
     bench("simulator", "timed_multi_ar32_x4", Some(steps), || {
         let mut m = Machine::new(Ar32Set::load(&program));
-        black_box(m.run_timed_multi(&multi_cfgs).unwrap());
+        let compiled = m.compile().unwrap();
+        let trace = m.run_recorded(&compiled).unwrap();
+        black_box(trace.price_all(&compiled, &multi_cfgs).unwrap());
     });
     let flow = fits_core::FitsFlow::new().run(&program).unwrap();
     bench("simulator", "timed_fits", Some(steps), || {

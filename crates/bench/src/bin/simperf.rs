@@ -171,6 +171,18 @@ fn measure(
     }
 }
 
+/// The nearest-rank `q` quantile of ascending `sorted`: the smallest
+/// sample with at least a `q` share of all samples at or below it (0 when
+/// there are none).
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 fn main() {
     let opts = parse_args();
     if let Err(e) = run(&opts) {
@@ -297,11 +309,9 @@ fn run(opts: &Options) -> Result<(), SimperfError> {
         suite_steps += t.output.steps;
         suite_traces.push((c, t));
     }
-    // Per-kernel pricing latencies land in a sliding-window histogram (the
-    // same type `fitsd`'s windowed metrics use); the probe runs well inside
-    // one window, so the snapshot is the whole distribution — per-call
-    // p50/p99 that a MIPS aggregate can't show.
-    let pricing = fits_obs::WindowedHistogram::new();
+    // Every per-kernel pricing latency is kept, so p50/p99 are exact
+    // per-call quantiles that a MIPS aggregate can't show.
+    let mut pricing_us: Vec<u64> = Vec::new();
     let (secs, calls) = measure(budget, || {
         for (c, t) in &suite_traces {
             let call = Instant::now();
@@ -309,18 +319,20 @@ fn run(opts: &Options) -> Result<(), SimperfError> {
                 t.price_all(c, &multi_cfgs)
                     .map_err(|e| SimperfError::Pipeline(ExperimentError::Sim(e)))?,
             );
-            pricing.record(call.elapsed());
+            pricing_us.push(u64::try_from(call.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
         Ok(())
     })?;
     let suite_replay_mips = suite_steps as f64 * 4.0 * f64::from(calls) / secs / 1e6;
-    let pricing = pricing.snapshot();
+    pricing_us.sort_unstable();
+    let (pp50, pp99) = (
+        nearest_rank(&pricing_us, 0.5),
+        nearest_rank(&pricing_us, 0.99),
+    );
+    let pmax = pricing_us.last().copied().unwrap_or(0);
     eprintln!(
-        "simperf: per-kernel pricing p50 {} us, p99 {} us, max {} us over {} calls",
-        pricing.quantile_us(0.5),
-        pricing.quantile_us(0.99),
-        pricing.max_us,
-        pricing.count,
+        "simperf: per-kernel pricing p50 {pp50} us, p99 {pp99} us, max {pmax} us over {} calls",
+        pricing_us.len(),
     );
     drop(suite_traces);
 
@@ -394,9 +406,6 @@ fn run(opts: &Options) -> Result<(), SimperfError> {
         rm = json_f64(replay4_mips),
         srm = json_f64(suite_replay_mips),
         ftm = json_f64(fits_timed_mips),
-        pp50 = pricing.quantile_us(0.5),
-        pp99 = pricing.quantile_us(0.99),
-        pmax = pricing.max_us,
         kernels = Kernel::ALL.len(),
         passes = suite_passes,
         best = json_f64(suite_best),
@@ -536,4 +545,20 @@ fn compare_metrics(
         }
     }
     failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_rank;
+
+    #[test]
+    fn pricing_quantiles_are_exact_samples() {
+        // 300 us sits inside the log2 bucket [256, 511], so a bucketed
+        // quantile would report the edge 511 rather than the sample.
+        let sorted = [100, 200, 300, 400, 5000];
+        assert_eq!(nearest_rank(&sorted, 0.5), 300);
+        assert_eq!(nearest_rank(&sorted, 0.99), 5000);
+        assert_eq!(nearest_rank(&sorted, 0.0), 100);
+        assert_eq!(nearest_rank(&[], 0.5), 0);
+    }
 }

@@ -3,11 +3,12 @@
 //! SA-1100 model) swept over the benchmark suite.
 //!
 //! The four timed configurations are measured with the
-//! execute-once/replay-many engine ([`Machine::run_timed_multi`]): each
-//! kernel's native binary executes **once** feeding both ARM cache
-//! geometries, and its FITS binary executes **once** feeding both FITS
-//! geometries — the per-configuration [`SimResult`]s are bit-identical to
-//! separate per-configuration runs.
+//! execute-once/replay-many engine ([`Machine::run_recorded`], then
+//! [`fits_sim::RecordedTrace::price_all`]): each kernel's native binary
+//! executes **once** feeding both ARM cache geometries, and its FITS
+//! binary executes **once** feeding both FITS geometries — the
+//! per-configuration [`SimResult`]s are bit-identical to separate
+//! per-configuration runs.
 
 use std::cell::Cell;
 use std::fmt;

@@ -807,6 +807,11 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
         }
     }
 
+    // Termination: an accepted candidate leaves its key's layout at least
+    // as wide as its own operand bits, and a key's layout only ever
+    // widens, so the skip below rejects that candidate from then on. Each
+    // candidate is accepted at most once, which bounds the upgrades by
+    // `candidates.len()`.
     let mut upgrades = 0usize;
     loop {
         let base_cost = total_cost(&families, &sel);
@@ -862,9 +867,10 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
             },
         );
         upgrades += 1;
-        if upgrades > 200 {
-            break; // safety valve
-        }
+        debug_assert!(
+            upgrades <= candidates.len(),
+            "a candidate was accepted twice"
+        );
     }
 
     // ---- Build dictionaries ---------------------------------------------

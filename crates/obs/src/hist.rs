@@ -189,84 +189,6 @@ impl SetHistogram {
     }
 }
 
-/// Per-branch-site outcome counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BranchCounts {
-    /// Times the branch was taken.
-    pub taken: u64,
-    /// Times it fell through.
-    pub not_taken: u64,
-    /// Static BTFNT mispredictions (taken ≠ backward).
-    pub mispredicted: u64,
-}
-
-/// Dense per-PC branch-outcome histogram (same addressing scheme as
-/// [`PcHistogram`]; branch sites are sparse but the per-slot cost is three
-/// words, so dense storage stays small at kernel scale).
-#[derive(Clone, Debug)]
-pub struct BranchHistogram {
-    base: u32,
-    stride: u32,
-    counts: Vec<BranchCounts>,
-}
-
-impl BranchHistogram {
-    /// An empty histogram over addresses `base + k * stride`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    #[must_use]
-    pub fn new(base: u32, stride: u32) -> BranchHistogram {
-        assert!(stride > 0, "stride must be positive");
-        BranchHistogram {
-            base,
-            stride,
-            counts: Vec::new(),
-        }
-    }
-
-    /// Records one resolved branch at `pc` (saturating). `mispredicted` is
-    /// the BTFNT verdict the timing model already computed.
-    pub fn record(&mut self, pc: u32, taken: bool, mispredicted: bool) {
-        if pc < self.base || !(pc - self.base).is_multiple_of(self.stride) {
-            return;
-        }
-        let i = ((pc - self.base) / self.stride) as usize;
-        if i >= self.counts.len() {
-            self.counts.resize(i + 1, BranchCounts::default());
-        }
-        let c = &mut self.counts[i];
-        if taken {
-            c.taken = c.taken.saturating_add(1);
-        } else {
-            c.not_taken = c.not_taken.saturating_add(1);
-        }
-        if mispredicted {
-            c.mispredicted = c.mispredicted.saturating_add(1);
-        }
-    }
-
-    /// The counters at `pc`.
-    #[must_use]
-    pub fn get(&self, pc: u32) -> BranchCounts {
-        if pc < self.base || !(pc - self.base).is_multiple_of(self.stride) {
-            return BranchCounts::default();
-        }
-        let i = ((pc - self.base) / self.stride) as usize;
-        self.counts.get(i).copied().unwrap_or_default()
-    }
-
-    /// Iterates `(pc, counts)` over sites that resolved at least once.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, BranchCounts)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.taken > 0 || c.not_taken > 0)
-            .map(move |(i, &c)| (self.base + (i as u32) * self.stride, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,17 +249,5 @@ mod tests {
         h.sets[0].hits = u64::MAX;
         h.record(0, true);
         assert_eq!(h.sets()[0].hits, u64::MAX);
-    }
-
-    #[test]
-    fn branch_histogram_records_outcomes() {
-        let mut h = BranchHistogram::new(0x8000, 4);
-        h.record(0x8010, true, false);
-        h.record(0x8010, false, true);
-        let c = h.get(0x8010);
-        assert_eq!(c.taken, 1);
-        assert_eq!(c.not_taken, 1);
-        assert_eq!(c.mispredicted, 1);
-        assert_eq!(h.iter().count(), 1);
     }
 }

@@ -11,12 +11,13 @@
 //!   simulate → power). It implements `fits-core`'s `FlowObserver`, so
 //!   installing a clone on a `FitsFlow` times every Figure-1 stage with no
 //!   change to flow results.
-//! * [`trace_timed_run`] — a timed simulation that additionally streams
-//!   per-PC retire counts, per-set I-cache hit/miss/fill events and branch
-//!   outcomes into compact histograms ([`SimTrace`]). It rides the
-//!   `CacheEventObserver` seam in `fits-sim`'s timing model; the
-//!   differential tests in `tests/` prove the traced run's `SimResult` is
-//!   **bit-identical** to the untraced fast path.
+//! * [`trace_timed_run`] — a timed simulation on the compiled replay that
+//!   additionally collects per-PC retire counts and per-set I-cache
+//!   hit/miss/fill events into compact histograms ([`SimTrace`]). It rides
+//!   the `CacheEventObserver` seam of `fits-sim`'s
+//!   `RecordedTrace::price_with`; the differential tests in `tests/` prove
+//!   the traced run's `SimResult` and event stream **bit-identical** to the
+//!   interpreted oracle's.
 //! * [`check_bounds`] — the dynamic-vs-static join: a traced run's per-set
 //!   I-cache counters checked against the miss intervals and energy
 //!   envelopes implied by the `CA` static cache analysis in `fits-verify`.
@@ -74,7 +75,7 @@ pub mod window;
 pub use attr::{attribute_kernel, basic_blocks, Attribution, BasicBlock, BlockCost};
 pub use bounds::{check_bounds, BoundsCheck, SetBounds};
 pub use event::{validate_access_jsonl, AccessRecord, AccessStats, EventLog, Level};
-pub use hist::{BranchCounts, BranchHistogram, PcHistogram, SetCounters, SetHistogram};
+pub use hist::{PcHistogram, SetCounters, SetHistogram};
 pub use metrics::{Counter, LatencyHistogram};
 pub use ring::{FlightRecorder, RequestSummary};
 pub use span::{ScopedObserver, ScopedSpans, Span, SpanGuard, SpanRegistry};

@@ -1,20 +1,23 @@
-//! The simulation-side trace collector: rides the machine's step-observer
-//! hook and the timing model's [`CacheEventObserver`] seam to stream per-PC
-//! retire counts, per-set I-cache events and branch outcomes into compact
-//! histograms — without perturbing a single counter of the [`SimResult`].
+//! The simulation-side trace collector: rides the compiled replay's
+//! [`CacheEventObserver`] seam to stream per-set I-cache events and
+//! per-word fetch counts into compact histograms, and reads per-PC retire
+//! counts off the recorded trace — without perturbing a single counter of
+//! the [`SimResult`].
 //!
 //! The contract the differential tests enforce: for any machine and
 //! configuration, [`trace_timed_run`] returns a `(RunOutput, SimResult)`
-//! pair **bit-identical** to [`Machine::run_timed`]'s. The collector only
-//! listens; it never feeds back into execution or timing.
+//! pair **bit-identical** to the interpreted oracle
+//! [`Machine::run_timed`]'s, and its cache events match the oracle's
+//! event for event. The collector only listens; it never feeds back into
+//! execution or timing.
 
 use fits_isa::TEXT_BASE;
 use fits_sim::{
-    CacheEventObserver, InstrSet, Machine, RunOutput, Sa1100Config, SimError, SimResult,
-    TimingModel,
+    validate_geometry, CacheEventObserver, InstrSet, Machine, RunOutput, Sa1100Config, SimError,
+    SimResult,
 };
 
-use crate::hist::{BranchHistogram, PcHistogram, SetHistogram};
+use crate::hist::{PcHistogram, SetHistogram};
 
 /// Aggregate D-cache activity seen by the collector (the D-cache is held
 /// constant across the paper's configurations, so totals suffice).
@@ -76,8 +79,6 @@ impl CacheEventObserver for CacheEvents {
 pub struct SimTrace {
     /// Retired-instruction counts per PC (stride = the ISA's op size).
     pub retires: PcHistogram,
-    /// Branch outcomes per branch site.
-    pub branches: BranchHistogram,
     /// Cache-level events.
     pub cache: CacheEvents,
 }
@@ -94,42 +95,35 @@ impl SimTrace {
 /// trace collector attached, returning the functional output, the timing
 /// statistics and the collected [`SimTrace`].
 ///
-/// The `(RunOutput, SimResult)` pair is bit-identical to
-/// [`Machine::run_timed`] with the same configuration — the collector rides
-/// [`TimingModel::observe_with`], which accumulates exactly the counters of
-/// the untraced [`TimingModel::observe`] path.
+/// The program is lifted and recorded once ([`Machine::compile`],
+/// [`Machine::run_recorded`]) and priced by the compiled replay with the
+/// collector observing ([`fits_sim::RecordedTrace::price_with`]). The
+/// `(RunOutput, SimResult)` pair is bit-identical to [`Machine::run_timed`]
+/// with the same configuration.
 ///
 /// # Errors
 ///
-/// Any [`SimError`] raised by execution or cache-geometry validation.
+/// Any [`SimError`] raised by execution or cache-geometry validation; a
+/// degenerate geometry is rejected before the program runs.
 pub fn trace_timed_run<S: InstrSet>(
     machine: &mut Machine<S>,
     cfg: &Sa1100Config,
 ) -> Result<(RunOutput, SimResult, SimTrace), SimError> {
-    let op_size = machine.instr_set().op_size();
-    let mut timing = TimingModel::new(cfg)?;
-    let mut retires = PcHistogram::new(TEXT_BASE, op_size);
-    let mut branches = BranchHistogram::new(TEXT_BASE, op_size);
+    for cache in [&cfg.icache, &cfg.dcache] {
+        validate_geometry(cache).map_err(|e| SimError::BadInstruction {
+            what: format!("cache {}: {e}", cache.name),
+        })?;
+    }
+    let compiled = machine.compile()?;
+    let recorded = machine.run_recorded(&compiled)?;
     let mut cache = CacheEvents::new(cfg);
-    let output = machine.run_observed(|_, info| {
-        retires.record(info.pc);
-        if let Some(b) = &info.branch {
-            // BTFNT, as the timing model predicts: backward predicted
-            // taken, forward predicted not-taken.
-            branches.record(info.pc, b.taken, b.taken != b.backward);
-        }
-        timing.observe_with(info, &mut cache);
-    })?;
-    let result = timing.finish_with(&mut cache);
-    Ok((
-        output,
-        result,
-        SimTrace {
-            retires,
-            branches,
-            cache,
-        },
-    ))
+    let result = recorded.price_with(&compiled, cfg, &mut cache)?;
+    let mut retires = PcHistogram::new(TEXT_BASE, machine.instr_set().op_size());
+    let counts = recorded.exec_counts(compiled.op_count());
+    for (template, count) in compiled.templates().iter().zip(counts) {
+        retires.add(template.pc, count);
+    }
+    Ok((recorded.output, result, SimTrace { retires, cache }))
 }
 
 #[cfg(test)]
@@ -169,10 +163,6 @@ mod tests {
             sim.dcache.accesses
         );
         assert_eq!(trace.cache.dcache.misses, sim.dcache.misses);
-        let taken: u64 = trace.branches.iter().map(|(_, c)| c.taken).sum();
-        let mis: u64 = trace.branches.iter().map(|(_, c)| c.mispredicted).sum();
-        assert_eq!(taken, sim.branch.taken);
-        assert_eq!(mis, sim.branch.mispredicted);
         assert_eq!(trace.retires.stray(), 0, "every PC maps into the text");
     }
 
@@ -187,5 +177,17 @@ mod tests {
             trace_timed_run(&mut Machine::new(Ar32Set::load(&program)), &cfg).unwrap();
         assert_eq!(out, ref_out);
         assert_eq!(sim, ref_sim);
+    }
+
+    #[test]
+    fn degenerate_geometry_fails_as_the_oracle_does() {
+        let program = Kernel::Crc32.compile(Scale::test()).unwrap();
+        let mut cfg = Sa1100Config::icache_16k();
+        cfg.icache.ways = 0;
+        let oracle = Machine::new(Ar32Set::load(&program))
+            .run_timed(&cfg)
+            .unwrap_err();
+        let traced = trace_timed_run(&mut Machine::new(Ar32Set::load(&program)), &cfg).unwrap_err();
+        assert_eq!(traced, oracle);
     }
 }

@@ -5,7 +5,9 @@
 //!
 //! * end-to-end, real programs: for a grid of kernels × ISAs × I-cache
 //!   sizes, [`trace_timed_run`]'s `(RunOutput, SimResult)` must be
-//!   bit-identical to the untraced [`Machine::run_timed`];
+//!   bit-identical to the interpreted oracle [`Machine::run_timed`], and
+//!   the compiled replay's cache events and retire counts must match the
+//!   oracle's, collected here from `run_observed` + `observe_with`;
 //! * property-style, synthetic streams: for seeded random [`StepInfo`]
 //!   streams (valid or not as real programs), `TimingModel::observe` and
 //!   `observe_with(.., collector)` must accumulate identical results, and
@@ -14,13 +16,14 @@
 #![allow(clippy::unwrap_used)]
 
 use fits_core::FitsFlow;
-use fits_isa::{InstrClass, Reg, TEXT_BASE};
+use fits_isa::{InstrClass, Program, Reg, TEXT_BASE};
 use fits_kernels::kernels::{Kernel, Scale};
 use fits_obs::trace::CacheEvents;
-use fits_obs::trace_timed_run;
+use fits_obs::{trace_timed_run, PcHistogram};
 use fits_rng::StdRng;
 use fits_sim::{
-    Ar32Set, BranchOutcome, Machine, MemAccess, Sa1100Config, SimResult, StepInfo, TimingModel,
+    Ar32Set, BranchOutcome, Machine, MemAccess, RunOutput, Sa1100Config, SimResult, StepInfo,
+    TimingModel,
 };
 
 fn configs() -> [Sa1100Config; 2] {
@@ -67,17 +70,37 @@ fn tracing_is_invisible_to_fits_runs() {
     }
 }
 
+/// The interpreted oracle's traced run: `run_observed` feeding
+/// [`TimingModel::observe_with`] with a [`CacheEvents`] collector, plus the
+/// retire count of every stepped PC.
+fn interpreted_trace(
+    program: &Program,
+    cfg: &Sa1100Config,
+) -> (RunOutput, SimResult, PcHistogram, CacheEvents) {
+    let mut timing = TimingModel::new(cfg).unwrap();
+    let mut retires = PcHistogram::new(TEXT_BASE, 4);
+    let mut events = CacheEvents::new(cfg);
+    let out = Machine::new(Ar32Set::load(program))
+        .run_observed(|_, info| {
+            retires.record(info.pc);
+            timing.observe_with(info, &mut events);
+        })
+        .unwrap();
+    let sim = timing.finish_with(&mut events);
+    (out, sim, retires, events)
+}
+
 /// The compiled-replay path must be just as invisible as the interpreted
 /// one: replaying a recorded trace with a [`CacheEvents`] observer attached
 /// (`RecordedTrace::price_with`) must produce the same `SimResult` **and**
-/// the same event stream as [`trace_timed_run`]'s interpreted collection.
+/// the same event stream as the interpreted oracle's collection, and
+/// [`trace_timed_run`] must report the oracle's retire counts and events.
 #[test]
 fn compiled_replay_events_match_interpreted_trace() {
     for kernel in [Kernel::Crc32, Kernel::Bitcount] {
         let program = kernel.compile(Scale::test()).unwrap();
         for cfg in configs() {
-            let (ref_out, ref_sim, ref_trace) =
-                trace_timed_run(&mut Machine::new(Ar32Set::load(&program)), &cfg).unwrap();
+            let (ref_out, ref_sim, ref_retires, ref_events) = interpreted_trace(&program, &cfg);
 
             let set = Ar32Set::load(&program);
             let compiled = fits_sim::CompiledProgram::compile(&set).unwrap();
@@ -89,21 +112,30 @@ fn compiled_replay_events_match_interpreted_trace() {
 
             assert_eq!(trace.output, ref_out, "{kernel:?}: RunOutput diverged");
             assert_eq!(sim, ref_sim, "{kernel:?}: SimResult diverged");
+            let (_, _, traced) =
+                trace_timed_run(&mut Machine::new(Ar32Set::load(&program)), &cfg).unwrap();
             assert_eq!(
-                events.fetches.iter().collect::<Vec<_>>(),
-                ref_trace.cache.fetches.iter().collect::<Vec<_>>(),
-                "{kernel:?}: per-word fetch events diverged"
+                traced.retires.iter().collect::<Vec<_>>(),
+                ref_retires.iter().collect::<Vec<_>>(),
+                "{kernel:?}: per-PC retire counts diverged"
             );
-            assert_eq!(events.fetches.stray(), ref_trace.cache.fetches.stray());
-            assert_eq!(
-                events.icache_sets.sets(),
-                ref_trace.cache.icache_sets.sets(),
-                "{kernel:?}: per-set I-cache events diverged"
-            );
-            assert_eq!(
-                events.dcache, ref_trace.cache.dcache,
-                "{kernel:?}: D-cache totals diverged"
-            );
+            for events in [&events, &traced.cache] {
+                assert_eq!(
+                    events.fetches.iter().collect::<Vec<_>>(),
+                    ref_events.fetches.iter().collect::<Vec<_>>(),
+                    "{kernel:?}: per-word fetch events diverged"
+                );
+                assert_eq!(events.fetches.stray(), ref_events.fetches.stray());
+                assert_eq!(
+                    events.icache_sets.sets(),
+                    ref_events.icache_sets.sets(),
+                    "{kernel:?}: per-set I-cache events diverged"
+                );
+                assert_eq!(
+                    events.dcache, ref_events.dcache,
+                    "{kernel:?}: D-cache totals diverged"
+                );
+            }
         }
     }
 }

@@ -1,7 +1,6 @@
 //! The machine loop: drives an [`InstrSet`] over memory, optionally feeding
 //! a timing model or a step observer.
 
-use crate::cache::validate_config;
 use crate::replay::{CompiledProgram, RecordedTrace, TraceEntry};
 use crate::{
     CpuState, ExecCtx, InstrSet, Memory, Sa1100Config, SimError, SimResult, StepInfo, TimingModel,
@@ -211,6 +210,11 @@ impl<S: InstrSet> Machine<S> {
     /// Runs to the exit trap under the SA-1100 timing model, returning both
     /// the functional output and the microarchitectural statistics.
     ///
+    /// This is the interpreted [`TimingModel`], kept as the independent
+    /// oracle the compiled replay ([`Machine::compile`] →
+    /// [`Machine::run_recorded`] → [`RecordedTrace::price_all`]) is tested
+    /// against; pipelines that price a run use the compiled engine.
+    ///
     /// # Errors
     ///
     /// Any [`SimError`] raised by execution, including step-budget overrun.
@@ -326,36 +330,6 @@ impl<S: InstrSet> Machine<S> {
                 return Err(SimError::BadPc { pc: self.pc });
             }
         }
-    }
-
-    /// Executes the program **once** and prices every configuration from
-    /// the recorded trace — the execute-once/replay-many engine, now
-    /// running on the basic-block compiled replay path: the program is
-    /// lifted ([`Machine::compile`]), one functional execution records a
-    /// compact trace ([`Machine::run_recorded`]), and a single
-    /// structure-of-arrays replay pass prices all configurations
-    /// ([`RecordedTrace::price_all`]). The `SimResult` for each
-    /// configuration is bit-identical to a separate [`Machine::run_timed`]
-    /// call with that configuration.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised by execution or by cache-geometry validation
-    /// of any configuration.
-    pub fn run_timed_multi(
-        &mut self,
-        cfgs: &[Sa1100Config],
-    ) -> Result<(RunOutput, Vec<SimResult>), SimError> {
-        // Validate every geometry up front so a bad configuration fails
-        // before the functional execution, as the per-model path did.
-        for cfg in cfgs {
-            validate_config(&cfg.icache)?;
-            validate_config(&cfg.dcache)?;
-        }
-        let compiled = self.compile()?;
-        let trace = self.run_recorded(&compiled)?;
-        let sims = trace.price_all(&compiled, cfgs)?;
-        Ok((trace.output, sims))
     }
 }
 

@@ -1,10 +1,12 @@
 //! The basic-block compiled replay engine.
 //!
-//! The interpreted paths ([`crate::Machine::run_timed`],
-//! [`TimingModel`]) re-derive everything per retired instruction: decode
-//! lookup, `StepInfo` assembly, and one full timing-model pass per
-//! configuration. This module splits that work into three phases so a
-//! geometry × tech sweep pays for the expensive parts exactly once:
+//! This is the one timing engine the pipeline runs. The interpreted
+//! oracle ([`crate::Machine::run_timed`], [`crate::TimingModel`]), which
+//! the tests compare it against, re-derives everything per retired
+//! instruction: decode lookup, `StepInfo` assembly, and one full
+//! timing-model pass per configuration. This module splits that work into
+//! three phases so a geometry × tech sweep pays for the expensive parts
+//! exactly once:
 //!
 //! 1. **Lift** ([`CompiledProgram::compile`]) — discover basic blocks from
 //!    the decoded text (leaders at the entry, at direct branch targets and
@@ -27,7 +29,9 @@
 //!    from shared event counters and lane-local stall totals, so every
 //!    lane's `Cache` sees exactly the `(addr, data, cycle)` sequence the
 //!    interpreted model would have produced — bit-identical counters, one
-//!    pipeline pass instead of N.
+//!    pipeline pass instead of N. A single configuration that needs its
+//!    cache events ([`RecordedTrace::price_with`], behind `price` and the
+//!    `fits-obs` trace) runs the same pipeline fused with one lane inline.
 //!
 //! The differential tests (`tests/replay_multi.rs`, `tests/prop_replay.rs`
 //! and the `fits-obs` suite) hold phases 2–3 bit-identical to the
@@ -486,122 +490,22 @@ impl RecordedTrace {
     /// [`SimResult`] per configuration, each bit-identical to an
     /// interpreted [`crate::Machine::run_timed`] of the same program.
     ///
+    /// This is the batch engine: the pipeline pass fills a bounded buffer
+    /// of cache/penalty events (so memory stays constant no matter how long
+    /// the trace is), and each full buffer is drained by every lane in a
+    /// tight, branch-light loop. One lane's cache state stays hot in L1 for
+    /// a whole chunk instead of being evicted by its neighbours on every
+    /// op, which is what makes this faster than the fused single-lane pass
+    /// of [`RecordedTrace::price_with`] despite touching every event N
+    /// times. Event order and cycle reconstruction are identical to the
+    /// fused pass, so results stay bit-identical regardless of lane count.
+    ///
     /// # Errors
     ///
-    /// Returns an error when a configuration's cache geometry is
-    /// degenerate, or when `compiled` is not the program this trace was
-    /// recorded from.
+    /// Returns an error when `compiled` is not the program this trace was
+    /// recorded from, or when a configuration's cache geometry is
+    /// degenerate.
     pub fn price_all(
-        &self,
-        compiled: &CompiledProgram,
-        cfgs: &[Sa1100Config],
-    ) -> Result<Vec<SimResult>, SimError> {
-        self.price_batch(compiled, cfgs)
-    }
-
-    /// Single-configuration replay.
-    ///
-    /// # Errors
-    ///
-    /// As [`RecordedTrace::price_all`].
-    pub fn price(
-        &self,
-        compiled: &CompiledProgram,
-        cfg: &Sa1100Config,
-    ) -> Result<SimResult, SimError> {
-        self.price_with(compiled, cfg, &mut ())
-    }
-
-    /// Single-configuration replay reporting every cache access to `obs` —
-    /// the compiled counterpart of [`TimingModel::observe_with`]: the
-    /// event stream is bit-identical to the interpreted one.
-    ///
-    /// [`TimingModel::observe_with`]: crate::TimingModel::observe_with
-    ///
-    /// # Errors
-    ///
-    /// As [`RecordedTrace::price_all`].
-    pub fn price_with<O: CacheEventObserver>(
-        &self,
-        compiled: &CompiledProgram,
-        cfg: &Sa1100Config,
-        obs: &mut O,
-    ) -> Result<SimResult, SimError> {
-        let mut results = self.price_lanes(compiled, std::slice::from_ref(cfg), obs)?;
-        results.pop().ok_or_else(|| SimError::BadInstruction {
-            what: "empty replay lane set".to_string(),
-        })
-    }
-
-    /// Validates `cfgs` against this trace's program and builds the pricing
-    /// lanes.
-    fn build_lanes(
-        &self,
-        compiled: &CompiledProgram,
-        cfgs: &[Sa1100Config],
-    ) -> Result<Vec<Lane>, SimError> {
-        if self.token != compiled.token() {
-            return Err(SimError::BadInstruction {
-                what: "recorded trace does not belong to this compiled program".to_string(),
-            });
-        }
-        let mut lanes = Vec::with_capacity(cfgs.len());
-        for cfg in cfgs {
-            validate_config(&cfg.icache)?;
-            validate_config(&cfg.dcache)?;
-            lanes.push(Lane {
-                caches: [
-                    Cache::new(cfg.icache.clone()),
-                    Cache::new(cfg.dcache.clone()),
-                ],
-                stalls: [0, 0],
-                miss_penalty: [cfg.icache_miss_penalty, cfg.dcache_miss_penalty],
-                event_cycles: 0,
-                event_penalty: [
-                    cfg.mul_extra_cycles,
-                    cfg.taken_branch_penalty,
-                    cfg.mispredict_penalty,
-                ],
-            });
-        }
-        Ok(lanes)
-    }
-
-    /// The observed engine: one fused pipeline pass driving every lane
-    /// inline, with observer events reported for lane 0 (the observing
-    /// callers always pass exactly one configuration).
-    fn price_lanes<O: CacheEventObserver>(
-        &self,
-        compiled: &CompiledProgram,
-        cfgs: &[Sa1100Config],
-        obs: &mut O,
-    ) -> Result<Vec<SimResult>, SimError> {
-        let lanes = self.build_lanes(compiled, cfgs)?;
-        let mut replay = Replay::new(DirectSink { lanes, obs });
-        let mut cursor = OpCursor::new(self, compiled.templates());
-        while let Some(op) = cursor.next_op() {
-            replay.observe(op);
-        }
-        replay.flush_pending();
-        let shared = replay.shared;
-        let sink = replay.sink;
-        Ok(sink
-            .lanes
-            .into_iter()
-            .map(|lane| lane.into_result(&shared, &self.statics))
-            .collect())
-    }
-
-    /// The batch engine behind [`RecordedTrace::price_all`]: the pipeline
-    /// pass fills a bounded buffer of cache/penalty events (so memory stays
-    /// constant no matter how long the trace is), and each full buffer is
-    /// drained by every lane in a tight, branch-light loop. One lane's
-    /// cache state stays hot in L1 for a whole chunk instead of being
-    /// evicted by its neighbours on every op, which is what makes this
-    /// faster than the fused pass despite touching every event N times.
-    /// Event order and cycle reconstruction are identical to the fused
-    /// pass, so results stay bit-identical regardless of lane count.
-    fn price_batch(
         &self,
         compiled: &CompiledProgram,
         cfgs: &[Sa1100Config],
@@ -610,7 +514,8 @@ impl RecordedTrace {
         /// cache-resident, large enough to amortize the loop switches.
         const CHUNK_EVENTS: usize = 1 << 15;
 
-        let mut lanes = self.build_lanes(compiled, cfgs)?;
+        self.check_program(compiled)?;
+        let mut lanes = cfgs.iter().map(Lane::new).collect::<Result<Vec<_>, _>>()?;
         let mut replay = Replay::new(BufferSink {
             // One op can emit at most 1 I-cache + 1 D-cache event, so a
             // small slack past the target avoids reallocation.
@@ -646,6 +551,58 @@ impl RecordedTrace {
             .into_iter()
             .map(|lane| lane.into_result(&shared, &self.statics))
             .collect())
+    }
+
+    /// Single-configuration replay.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordedTrace::price_all`].
+    pub fn price(
+        &self,
+        compiled: &CompiledProgram,
+        cfg: &Sa1100Config,
+    ) -> Result<SimResult, SimError> {
+        self.price_with(compiled, cfg, &mut ())
+    }
+
+    /// Single-configuration replay reporting every cache access to `obs`:
+    /// the fused engine, one pipeline pass driving one lane inline. The
+    /// event stream is bit-identical to the one the interpreted oracle
+    /// reports through [`TimingModel::observe_with`].
+    ///
+    /// [`TimingModel::observe_with`]: crate::TimingModel::observe_with
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordedTrace::price_all`].
+    pub fn price_with<O: CacheEventObserver>(
+        &self,
+        compiled: &CompiledProgram,
+        cfg: &Sa1100Config,
+        obs: &mut O,
+    ) -> Result<SimResult, SimError> {
+        self.check_program(compiled)?;
+        let mut replay = Replay::new(DirectSink {
+            lane: Lane::new(cfg)?,
+            obs,
+        });
+        let mut cursor = OpCursor::new(self, compiled.templates());
+        while let Some(op) = cursor.next_op() {
+            replay.observe(op);
+        }
+        replay.flush_pending();
+        Ok(replay.sink.lane.into_result(&replay.shared, &self.statics))
+    }
+
+    /// Rejects a lifted program this trace was not recorded from.
+    fn check_program(&self, compiled: &CompiledProgram) -> Result<(), SimError> {
+        if self.token != compiled.token() {
+            return Err(SimError::BadInstruction {
+                what: "recorded trace does not belong to this compiled program".to_string(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -749,6 +706,26 @@ struct Lane {
 }
 
 impl Lane {
+    /// A fresh lane for `cfg`, validating both cache geometries.
+    fn new(cfg: &Sa1100Config) -> Result<Lane, SimError> {
+        validate_config(&cfg.icache)?;
+        validate_config(&cfg.dcache)?;
+        Ok(Lane {
+            caches: [
+                Cache::new(cfg.icache.clone()),
+                Cache::new(cfg.dcache.clone()),
+            ],
+            stalls: [0, 0],
+            miss_penalty: [cfg.icache_miss_penalty, cfg.dcache_miss_penalty],
+            event_cycles: 0,
+            event_penalty: [
+                cfg.mul_extra_cycles,
+                cfg.taken_branch_penalty,
+                cfg.mispredict_penalty,
+            ],
+        })
+    }
+
     /// The cycle counter this lane's interpreted [`crate::TimingModel`]
     /// would show right now, given the shared pipeline's `base_cycles` at
     /// this point: every increment the model ever applies is either
@@ -865,7 +842,7 @@ const D_MISPREDICT: u32 = 58;
 const D_MAX: u64 = 0xf;
 
 /// Where the shared pipeline pass delivers lane-facing events: either
-/// straight into every lane ([`DirectSink`], the fused engine), or into a
+/// straight into one lane ([`DirectSink`], the fused engine), or into a
 /// bounded buffer ([`BufferSink`], the batch engine).
 trait EventSink {
     fn icache(&mut self, addr: u32, data: u32, base: u64);
@@ -875,56 +852,42 @@ trait EventSink {
     fn mispredict_event(&mut self);
 }
 
-/// The fused sink: applies each event to every lane inline and reports
-/// lane 0's cache outcomes to the observer.
+/// The fused sink: applies each event to its lane inline and reports the
+/// cache outcomes to the observer.
 struct DirectSink<'o, O: CacheEventObserver> {
-    lanes: Vec<Lane>,
+    lane: Lane,
     obs: &'o mut O,
 }
 
 impl<O: CacheEventObserver> EventSink for DirectSink<'_, O> {
     fn icache(&mut self, addr: u32, data: u32, base: u64) {
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let cycle = lane.cycle_at(base);
-            let hit = lane.caches[0].access(addr, false, data, cycle);
-            if !hit {
-                lane.stalls[0] += lane.miss_penalty[0];
-            }
-            if i == 0 {
-                self.obs.icache_access(addr, hit);
-            }
+        let lane = &mut self.lane;
+        let hit = lane.caches[0].access(addr, false, data, lane.cycle_at(base));
+        if !hit {
+            lane.stalls[0] += lane.miss_penalty[0];
         }
+        self.obs.icache_access(addr, hit);
     }
 
     fn dcache(&mut self, addr: u32, write: bool, data: u32, base: u64) {
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let cycle = lane.cycle_at(base);
-            let hit = lane.caches[1].access(addr, write, data, cycle);
-            if !hit {
-                lane.stalls[1] += lane.miss_penalty[1];
-            }
-            if i == 0 {
-                self.obs.dcache_access(addr, write, hit);
-            }
+        let lane = &mut self.lane;
+        let hit = lane.caches[1].access(addr, write, data, lane.cycle_at(base));
+        if !hit {
+            lane.stalls[1] += lane.miss_penalty[1];
         }
+        self.obs.dcache_access(addr, write, hit);
     }
 
     fn mul_event(&mut self) {
-        for lane in &mut self.lanes {
-            lane.event_cycles += lane.event_penalty[0];
-        }
+        self.lane.event_cycles += self.lane.event_penalty[0];
     }
 
     fn taken_event(&mut self) {
-        for lane in &mut self.lanes {
-            lane.event_cycles += lane.event_penalty[1];
-        }
+        self.lane.event_cycles += self.lane.event_penalty[1];
     }
 
     fn mispredict_event(&mut self) {
-        for lane in &mut self.lanes {
-            lane.event_cycles += lane.event_penalty[2];
-        }
+        self.lane.event_cycles += self.lane.event_penalty[2];
     }
 }
 

@@ -96,9 +96,9 @@ pub struct BranchStats {
 /// geometry) to the `fits-power` model.
 ///
 /// Equality is exact (every counter is an integer), which is what lets the
-/// differential tests assert that execute-once/replay-many
-/// ([`crate::Machine::run_timed_multi`]) reproduces per-configuration runs
-/// bit for bit.
+/// differential tests assert that the compiled replay
+/// ([`crate::RecordedTrace::price_all`]) reproduces per-configuration
+/// interpreted runs bit for bit.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimResult {
     /// Total cycles.
@@ -154,9 +154,14 @@ impl SimResult {
     }
 }
 
-/// Observer of the cache-level events a [`TimingModel`] generates while it
-/// consumes a retired-instruction stream — the seam the `fits-obs` tracing
-/// layer rides.
+/// Observer of the cache-level events a timing run generates — the seam
+/// the `fits-obs` tracing layer rides.
+///
+/// The compiled replay reports them from
+/// [`crate::RecordedTrace::price_with`], which is what traced runs use;
+/// the interpreted oracle reports the same stream from
+/// [`TimingModel::observe_with`] and [`TimingModel::finish_with`], and the
+/// differential tests in `fits-obs` hold the two event for event.
 ///
 /// Events fire only for **actual** cache accesses: a second 16-bit FITS
 /// instruction served from the same fetched word produces no I-cache event,
@@ -164,9 +169,8 @@ impl SimResult {
 /// event implies a line fill of `line_bytes / 4` words.
 ///
 /// All methods default to no-ops, and `()` implements the trait, so the
-/// untraced paths ([`TimingModel::observe`], [`TimingModel::finish`])
-/// monomorphize to exactly the pre-seam code — the differential tests in
-/// `fits-obs` hold the two bit-identical.
+/// untraced paths ([`crate::RecordedTrace::price`],
+/// [`TimingModel::observe`]) monomorphize to exactly the unobserved code.
 pub trait CacheEventObserver {
     /// One I-cache access of the aligned word at `word_addr`.
     fn icache_access(&mut self, word_addr: u32, hit: bool) {
@@ -184,6 +188,11 @@ impl CacheEventObserver for () {}
 
 /// Streaming timing model; feed it [`StepInfo`]s, then call
 /// [`TimingModel::finish`].
+///
+/// This interpreted model is the independent oracle for the compiled
+/// replay in [`crate::RecordedTrace`]: tests compare the two counter for
+/// counter and event for event, and the pipeline itself prices runs with
+/// the compiled engine.
 #[derive(Debug)]
 pub struct TimingModel {
     /// Penalty values copied out of the borrowed [`Sa1100Config`] — the

@@ -12,8 +12,8 @@ use std::rc::Rc;
 use powerfits::core::{FitsFlow, FitsSet};
 use powerfits::kernels::kernels::{Kernel, Scale};
 use powerfits::sim::{
-    Ar32Set, CompiledProgram, ExecCtx, InstrSet, Machine, OpControl, OpMeta, Sa1100Config,
-    SimError, StepOutcome,
+    Ar32Set, CompiledProgram, ExecCtx, InstrSet, Machine, OpControl, OpMeta, RunOutput,
+    Sa1100Config, SimError, SimResult, StepOutcome,
 };
 
 /// The four cache configurations the experiment harness sweeps.
@@ -28,8 +28,21 @@ fn sweep_configs() -> Vec<Sa1100Config> {
         .collect()
 }
 
-/// `run_timed_multi` over N configs must be bit-identical to N independent
-/// `run_timed` machines, for both instruction sets of every kernel.
+/// Records one execution of the machine's program and prices every
+/// configuration from it: compile → `run_recorded` → `price_all`.
+fn record_and_price<S: InstrSet>(
+    mut machine: Machine<S>,
+    cfgs: &[Sa1100Config],
+) -> (RunOutput, Vec<SimResult>) {
+    let compiled = machine.compile().expect("lifts");
+    let trace = machine.run_recorded(&compiled).expect("recorded run");
+    let sims = trace.price_all(&compiled, cfgs).expect("price all");
+    (trace.output, sims)
+}
+
+/// One recording priced over N configs must be bit-identical to N
+/// independent `run_timed` machines, for both instruction sets of every
+/// kernel.
 #[test]
 fn replay_many_is_bit_identical_to_per_config_runs() {
     let scale = Scale::test();
@@ -37,9 +50,8 @@ fn replay_many_is_bit_identical_to_per_config_runs() {
     for &kernel in Kernel::ALL.iter() {
         let program = kernel.compile(scale).expect("kernel compiles");
 
-        let (multi_out, multi_sims) = Machine::new(Ar32Set::load(&program))
-            .run_timed_multi(&cfgs)
-            .expect("multi run");
+        let (multi_out, multi_sims) =
+            record_and_price(Machine::new(Ar32Set::load(&program)), &cfgs);
         for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
             let (out, sim) = Machine::new(Ar32Set::load(&program))
                 .run_timed(cfg)
@@ -53,9 +65,8 @@ fn replay_many_is_bit_identical_to_per_config_runs() {
         }
 
         let flow = FitsFlow::new().run(&program).expect("flow accepts");
-        let (multi_out, multi_sims) = Machine::new(FitsSet::load(&flow.fits).unwrap())
-            .run_timed_multi(&cfgs)
-            .expect("multi run");
+        let (multi_out, multi_sims) =
+            record_and_price(Machine::new(FitsSet::load(&flow.fits).unwrap()), &cfgs);
         for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
             let (out, sim) = Machine::new(FitsSet::load(&flow.fits).unwrap())
                 .run_timed(cfg)
@@ -137,9 +148,7 @@ fn replay_many_executes_each_instruction_once() {
         inner: Ar32Set::load(&program),
         executes: Rc::clone(&executes),
     };
-    let (out, sims) = Machine::new(set)
-        .run_timed_multi(&sweep_configs())
-        .expect("multi run");
+    let (out, sims) = record_and_price(Machine::new(set), &sweep_configs());
     assert_eq!(sims.len(), 4);
     assert_eq!(
         executes.get(),
