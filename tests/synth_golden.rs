@@ -5,10 +5,17 @@
 //! FITS text words must equal the pinned value. Any change to the greedy
 //! upgrade loop, its cost sums or its tie-breaking shows up here as a
 //! changed digest, before it can reach a figure.
+//!
+//! Two more tables pin what that digest leaves out: the synthesis report
+//! (upgrade count, opcode space spent, the bits of the predicted expansion)
+//! with the flow's round count under the same three presets, and the
+//! `fitspareto` grid presets the first table lacks (budgets 0.7 and 0.45 ×
+//! dictionary widths 4, 6 and 8), where a rejected preset is pinned by its
+//! error text.
 
 #![allow(clippy::unwrap_used)]
 
-use powerfits::core::{FitsFlow, SynthOptions};
+use powerfits::core::{FitsFlow, FlowError, FlowOutcome, SynthOptions};
 use powerfits::kernels::kernels::{Kernel, Scale};
 
 /// The three synthesis presets the flow-level spec differential runs
@@ -36,20 +43,69 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-fn digest(kernel: Kernel, options: SynthOptions) -> u64 {
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn run(kernel: Kernel, options: SynthOptions) -> Result<FlowOutcome, FlowError> {
     let program = kernel.compile(Scale::test()).expect("kernel compiles");
     let flow = FitsFlow {
         options,
         ..FitsFlow::default()
     };
-    let outcome = flow.run(&program).expect("flow accepts");
-    let mut h = 0xcbf2_9ce4_8422_2325;
+    flow.run(&program)
+}
+
+fn digest(kernel: Kernel, options: SynthOptions) -> u64 {
+    output_digest(FNV_OFFSET, &run(kernel, options).expect("flow accepts"))
+}
+
+/// Folds the synthesized and final configurations and the FITS text.
+fn output_digest(mut h: u64, outcome: &FlowOutcome) -> u64 {
     h = fnv1a(h, format!("{:?}", outcome.synthesis.config).as_bytes());
     h = fnv1a(h, format!("{:?}", outcome.fits.config).as_bytes());
     for word in &outcome.fits.instrs {
         h = fnv1a(h, &word.to_le_bytes());
     }
     h
+}
+
+/// Folds the synthesis report and the number of synthesize/translate
+/// rounds the flow ran.
+fn report_digest(mut h: u64, outcome: &FlowOutcome) -> u64 {
+    let report = &outcome.synthesis.report;
+    h = fnv1a(h, &(report.upgrades as u64).to_le_bytes());
+    h = fnv1a(h, &report.space_used.to_le_bytes());
+    h = fnv1a(h, &report.predicted_expansion.to_bits().to_le_bytes());
+    fnv1a(h, &(outcome.iterations as u64).to_le_bytes())
+}
+
+/// The `fitspareto` grid points missing from [`presets`]: budgets 0.7 and
+/// 0.45 × dictionary widths 4, 6 and 8, in grid order.
+fn grid_presets() -> [SynthOptions; 6] {
+    [
+        (0.7, 4),
+        (0.7, 6),
+        (0.7, 8),
+        (0.45, 4),
+        (0.45, 6),
+        (0.45, 8),
+    ]
+    .map(|(space_budget, max_dict_bits)| SynthOptions {
+        space_budget,
+        max_dict_bits,
+        ..SynthOptions::default()
+    })
+}
+
+/// A grid point's pinned result: the output and report digests of an
+/// accepted flow, or the text of the error that rejected it.
+fn grid_result(kernel: Kernel, options: SynthOptions) -> String {
+    match run(kernel, options) {
+        Ok(outcome) => format!(
+            "{:#018x}",
+            report_digest(output_digest(FNV_OFFSET, &outcome), &outcome)
+        ),
+        Err(e) => e.to_string(),
+    }
 }
 
 /// `(kernel, [default, toggle-blind, tight-budget])` digests.
@@ -163,5 +219,377 @@ fn synthesis_digests_match_golden() {
     assert_eq!(
         actual, golden,
         "synthesis output changed; the current table is:\n{table}"
+    );
+}
+
+/// `(kernel, [default, toggle-blind, tight-budget])` report digests.
+const REPORT_GOLDEN: &[(&str, [u64; 3])] = &[
+    (
+        "bitcount",
+        [0x06a2e5831ccb30bb, 0x06a2e5831ccb30bb, 0xdb372b22ed667063],
+    ),
+    (
+        "qsort",
+        [0xf3656fb73e87512a, 0xf3656fb73e87512a, 0x2a2c2b43c11504d2],
+    ),
+    (
+        "susan.smoothing",
+        [0x0d53795d166f5ff4, 0x0d53795d166f5ff4, 0xe7e7ac0f28cfd643],
+    ),
+    (
+        "susan.edges",
+        [0x83bbae1d6de03d1a, 0x83bbae1d6de03d1a, 0x3d0edc9accfd6cd2],
+    ),
+    (
+        "susan.corners",
+        [0x72553b6f8dfea4f8, 0x72553b6f8dfea4f8, 0x01353c185d07bf41],
+    ),
+    (
+        "jpeg.dct",
+        [0xf2304047ebc6ce38, 0xf2304047ebc6ce38, 0x77ecf3cdbbd428f3],
+    ),
+    (
+        "lame.filter",
+        [0xe8c949310082edbe, 0xe8c949310082edbe, 0x38d4989b3c25652f],
+    ),
+    (
+        "dijkstra",
+        [0xcce838bb9635dd13, 0xcce838bb9635dd13, 0xd18ceef70b10515b],
+    ),
+    (
+        "patricia",
+        [0xe547d954ba5480cb, 0xe547d954ba5480cb, 0x99fb9532f47e5145],
+    ),
+    (
+        "stringsearch",
+        [0xa2f3c315e22b8873, 0xa2f3c315e22b8873, 0xe5b8846720592c3d],
+    ),
+    (
+        "ispell",
+        [0x216c27727c825ffd, 0x216c27727c825ffd, 0x66c561302aa82de0],
+    ),
+    (
+        "blowfish.enc",
+        [0xf241c4a8b21bd484, 0xf241c4a8b21bd484, 0xb1da55735d0127eb],
+    ),
+    (
+        "blowfish.dec",
+        [0x78059c7cfd4f0fa8, 0x78059c7cfd4f0fa8, 0xf5f1de70d76398d3],
+    ),
+    (
+        "rijndael.enc",
+        [0x0b13f12c304f1992, 0x0b13f12c304f1992, 0x7101dcc900ee1c07],
+    ),
+    (
+        "rijndael.dec",
+        [0x0b13f12c304f1992, 0x0b13f12c304f1992, 0x7101dcc900ee1c07],
+    ),
+    (
+        "sha",
+        [0x3cd815653429279e, 0x3cd815653429279e, 0x7b8ec496c2d9380c],
+    ),
+    (
+        "adpcm.enc",
+        [0x1c81c612d633dd8c, 0x1c81c612d633dd8c, 0x32ed76135490a8f6],
+    ),
+    (
+        "adpcm.dec",
+        [0xdc0236d1a4049034, 0xdc0236d1a4049034, 0x178a77bdb23054f9],
+    ),
+    (
+        "crc32",
+        [0xc10ac3df95ff40d1, 0xc10ac3df95ff40d1, 0x0f29d78769567113],
+    ),
+    (
+        "fft",
+        [0x4877f5768bf85364, 0x4877f5768bf85364, 0x2f45f204965063af],
+    ),
+    (
+        "gsm",
+        [0x5adfac87b0071fdf, 0x5adfac87b0071fdf, 0x0e298e3c51fd723e],
+    ),
+];
+
+#[test]
+fn synthesis_reports_match_golden() {
+    let mut actual = Vec::new();
+    for &kernel in Kernel::ALL.iter() {
+        let digests = presets()
+            .map(|options| report_digest(FNV_OFFSET, &run(kernel, options).expect("flow accepts")));
+        actual.push((kernel.to_string(), digests));
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, d)| {
+            format!(
+                "    (\"{name}\", [{:#018x}, {:#018x}, {:#018x}]),\n",
+                d[0], d[1], d[2]
+            )
+        })
+        .collect();
+    let golden: Vec<(String, [u64; 3])> = REPORT_GOLDEN
+        .iter()
+        .map(|(name, d)| ((*name).to_string(), *d))
+        .collect();
+    assert_eq!(
+        actual, golden,
+        "synthesis report changed; the current table is:\n{table}"
+    );
+}
+
+/// `(kernel, [b070-d4, b070-d6, b070-d8, b045-d4, b045-d6, b045-d8])`:
+/// a digest of an accepted flow's output and report, or the rejection text.
+const GRID_GOLDEN: &[(&str, [&str; 6])] = &[
+    (
+        "bitcount",
+        [
+            "0xc1060ca17ae57d2f",
+            "0x7af8418fdfa9d62f",
+            "0x7af8418fdfa9d62f",
+            "mapping rate 0.840 below floor 0.850 after all iterations",
+            "mapping rate 0.840 below floor 0.850 after all iterations",
+            "mapping rate 0.840 below floor 0.850 after all iterations",
+        ],
+    ),
+    (
+        "qsort",
+        [
+            "0x566ce962563b8e94",
+            "0x72c69fd740e64648",
+            "0x72c69fd740e64648",
+            "0xe24da9f4789fb2b2",
+            "0x0e7311572c6c56a1",
+            "0x0e7311572c6c56a1",
+        ],
+    ),
+    (
+        "susan.smoothing",
+        [
+            "0xef5f90c7f1a22768",
+            "0x999e44ebb61e28af",
+            "0x999e44ebb61e28af",
+            "mapping rate 0.837 below floor 0.850 after all iterations",
+            "mapping rate 0.837 below floor 0.850 after all iterations",
+            "mapping rate 0.837 below floor 0.850 after all iterations",
+        ],
+    ),
+    (
+        "susan.edges",
+        [
+            "0xb66b13d74b822a26",
+            "0xd35640182ed56552",
+            "0xd35640182ed56552",
+            "0x220d2d1d323f58d2",
+            "0xfacfc1d5718f0132",
+            "0xfacfc1d5718f0132",
+        ],
+    ),
+    (
+        "susan.corners",
+        [
+            "0xb80b59cb2a12d23d",
+            "0x8b1898a14d94dd71",
+            "0x8b1898a14d94dd71",
+            "0xbf77bd81f913d6d7",
+            "0x76a7fca6bb629977",
+            "0x76a7fca6bb629977",
+        ],
+    ),
+    (
+        "jpeg.dct",
+        [
+            "0x7c49e3a8696b859e",
+            "0x902923b3e1a6a235",
+            "0x902923b3e1a6a235",
+            "mapping rate 0.722 below floor 0.850 after all iterations",
+            "mapping rate 0.722 below floor 0.850 after all iterations",
+            "mapping rate 0.722 below floor 0.850 after all iterations",
+        ],
+    ),
+    (
+        "lame.filter",
+        [
+            "0x0e87cda131ec17d8",
+            "0x0e87cda131ec17d8",
+            "0x0e87cda131ec17d8",
+            "mapping rate 0.751 below floor 0.850 after all iterations",
+            "mapping rate 0.751 below floor 0.850 after all iterations",
+            "mapping rate 0.751 below floor 0.850 after all iterations",
+        ],
+    ),
+    (
+        "dijkstra",
+        [
+            "0xf0505dc2b8f67507",
+            "0x1caf64b123ed1cd0",
+            "0x1caf64b123ed1cd0",
+            "0x2feb067f3a3339a0",
+            "0x4ab8dcc77dcec729",
+            "0x4ab8dcc77dcec729",
+        ],
+    ),
+    (
+        "patricia",
+        [
+            "0x87c5174e4aad51fd",
+            "0xe03791e5abbf057b",
+            "0xe03791e5abbf057b",
+            "0xa7d1047fd3cb579b",
+            "0xdfef89716a6a5202",
+            "0xdfef89716a6a5202",
+        ],
+    ),
+    (
+        "stringsearch",
+        [
+            "0xb242916e103384f8",
+            "0x6ee7333cd0402222",
+            "0x6ee7333cd0402222",
+            "0x5a2f3e019f71e305",
+            "0x5969da1c7c382c1f",
+            "0x5969da1c7c382c1f",
+        ],
+    ),
+    (
+        "ispell",
+        [
+            "0x573988010b117587",
+            "0x7175a0c2e3d89d2d",
+            "0x7175a0c2e3d89d2d",
+            "0xceacc620fd2ff2e0",
+            "0x0bdcbc86284668a2",
+            "0x0bdcbc86284668a2",
+        ],
+    ),
+    (
+        "blowfish.enc",
+        [
+            "0xec0fcb26cd21353f",
+            "0xa78fc6e683b6e6e9",
+            "0xa78fc6e683b6e6e9",
+            "0x74fd2d0b639db55c",
+            "0xecfb8b8c739cedeb",
+            "0xecfb8b8c739cedeb",
+        ],
+    ),
+    (
+        "blowfish.dec",
+        [
+            "0x68d77e60607c1660",
+            "0xb87c0cc589287363",
+            "0xb87c0cc589287363",
+            "0x50b8fd979cbdb93e",
+            "0xffd76b5e2a32d136",
+            "0xffd76b5e2a32d136",
+        ],
+    ),
+    (
+        "rijndael.enc",
+        [
+            "0x97feca2736f07fc4",
+            "0xfb6353f5c68e1741",
+            "0xfb6353f5c68e1741",
+            "0x5434d11a503d7a1b",
+            "0x0dd8a0babf3c3eb5",
+            "0x0dd8a0babf3c3eb5",
+        ],
+    ),
+    (
+        "rijndael.dec",
+        [
+            "0x472c872fb01baae0",
+            "0x08a9a0fc1c34254d",
+            "0x08a9a0fc1c34254d",
+            "0x88e8e0fbadc79929",
+            "0x3ddb2ce261c59ee3",
+            "0x3ddb2ce261c59ee3",
+        ],
+    ),
+    (
+        "sha",
+        [
+            "0xfad483ced3896ffe",
+            "0x2c3d36df3b2d9e39",
+            "0x2c3d36df3b2d9e39",
+            "0xdbf6a47dbdf2a956",
+            "0x77706124a2057e49",
+            "0x77706124a2057e49",
+        ],
+    ),
+    (
+        "adpcm.enc",
+        [
+            "0x0088660d90beda68",
+            "0x7a23a3ccebe5770d",
+            "0x7a23a3ccebe5770d",
+            "mapping rate 0.824 below floor 0.850 after all iterations",
+            "mapping rate 0.824 below floor 0.850 after all iterations",
+            "mapping rate 0.824 below floor 0.850 after all iterations",
+        ],
+    ),
+    (
+        "adpcm.dec",
+        [
+            "0x493840c02b3bf836",
+            "0xb9dc8b05199e6372",
+            "0xb9dc8b05199e6372",
+            "mapping rate 0.791 below floor 0.850 after all iterations",
+            "mapping rate 0.791 below floor 0.850 after all iterations",
+            "mapping rate 0.791 below floor 0.850 after all iterations",
+        ],
+    ),
+    (
+        "crc32",
+        [
+            "0x200546117f33352a",
+            "0x8ba35483c9c2a4e4",
+            "0x8ba35483c9c2a4e4",
+            "0x3c35ea8e87b503ee",
+            "0xd079e0e73d60bdbf",
+            "0xd079e0e73d60bdbf",
+        ],
+    ),
+    (
+        "fft",
+        [
+            "0xebc77be7548eab1a",
+            "0xdee4f0d2f40702a6",
+            "0xdee4f0d2f40702a6",
+            "mapping rate 0.734 below floor 0.850 after all iterations",
+            "mapping rate 0.734 below floor 0.850 after all iterations",
+            "mapping rate 0.734 below floor 0.850 after all iterations",
+        ],
+    ),
+    (
+        "gsm",
+        [
+            "0x2e6a8e730a10f231",
+            "0xf779c7f03a93a66d",
+            "0xf779c7f03a93a66d",
+            "mapping rate 0.743 below floor 0.850 after all iterations",
+            "mapping rate 0.743 below floor 0.850 after all iterations",
+            "mapping rate 0.743 below floor 0.850 after all iterations",
+        ],
+    ),
+];
+
+#[test]
+fn pareto_grid_presets_match_golden() {
+    let mut actual = Vec::new();
+    for &kernel in Kernel::ALL.iter() {
+        let results = grid_presets().map(|options| grid_result(kernel, options));
+        actual.push((kernel.to_string(), results));
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, r)| format!("    (\"{name}\", {r:?}),\n"))
+        .collect();
+    let golden: Vec<(String, [String; 6])> = GRID_GOLDEN
+        .iter()
+        .map(|(name, r)| ((*name).to_string(), r.map(str::to_string)))
+        .collect();
+    assert_eq!(
+        actual, golden,
+        "grid preset results changed; the current table is:\n{table}"
     );
 }
