@@ -158,7 +158,72 @@ pub enum Layout {
     },
 }
 
+/// A [`Layout`] without its field width. Synthesis places at most one
+/// opcode per micro-op and kind, so a `(MicroOp, LayoutKind)` pair names
+/// one opcode form of a configuration ([`DecoderConfig::form`]). The
+/// variants, and so the derived order, follow [`Layout`]'s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum LayoutKind {
+    /// [`Layout::R3`].
+    R3,
+    /// [`Layout::R2`].
+    R2,
+    /// [`Layout::R2Imm`].
+    R2Imm,
+    /// [`Layout::R2Dict`].
+    R2Dict,
+    /// [`Layout::RRImm`].
+    RRImm,
+    /// [`Layout::RRDict`].
+    RRDict,
+    /// [`Layout::MemImm`].
+    MemImm,
+    /// [`Layout::MemDict`].
+    MemDict,
+    /// [`Layout::Br`].
+    Br,
+    /// [`Layout::R1`].
+    R1,
+    /// [`Layout::Trap`].
+    Trap,
+}
+
 impl Layout {
+    /// The layout's kind.
+    #[must_use]
+    pub fn kind(self) -> LayoutKind {
+        match self {
+            Layout::R3 => LayoutKind::R3,
+            Layout::R2 => LayoutKind::R2,
+            Layout::R2Imm { .. } => LayoutKind::R2Imm,
+            Layout::R2Dict { .. } => LayoutKind::R2Dict,
+            Layout::RRImm { .. } => LayoutKind::RRImm,
+            Layout::RRDict { .. } => LayoutKind::RRDict,
+            Layout::MemImm { .. } => LayoutKind::MemImm,
+            Layout::MemDict { .. } => LayoutKind::MemDict,
+            Layout::Br { .. } => LayoutKind::Br,
+            Layout::R1 => LayoutKind::R1,
+            Layout::Trap { .. } => LayoutKind::Trap,
+        }
+    }
+
+    /// The width of the layout's literal, index or displacement field (0
+    /// for the register-only layouts).
+    #[must_use]
+    pub fn width(self) -> u8 {
+        match self {
+            Layout::R3 | Layout::R2 | Layout::R1 => 0,
+            Layout::R2Imm { w }
+            | Layout::R2Dict { w }
+            | Layout::RRImm { w }
+            | Layout::RRDict { w }
+            | Layout::MemImm { w }
+            | Layout::MemDict { w }
+            | Layout::Br { w }
+            | Layout::Trap { w } => w,
+        }
+    }
+
     /// The layout-kind name in the `powerfits-isa-v1` spec vocabulary
     /// (the `layouts { ... }` list of the FITS spec).
     #[must_use]
@@ -370,12 +435,17 @@ impl DecoderConfig {
             .find(|e| (word >> (16 - u16::from(e.len))) == (e.code >> (16 - u16::from(e.len))))
     }
 
-    /// Looks up the entry for a (micro, layout) pair, if synthesized.
+    /// The opcode form `micro` takes in layout `kind`: the first such
+    /// entry's index in [`DecoderConfig::ops`] and its field width (0 for
+    /// register-only layouts). Translation picks every opcode it emits
+    /// through this lookup.
     #[must_use]
-    pub fn find(&self, micro: MicroOp, layout: Layout) -> Option<&OpcodeEntry> {
-        self.ops
+    pub fn form(&self, micro: MicroOp, kind: LayoutKind) -> Option<(usize, u8)> {
+        let i = self
+            .ops
             .iter()
-            .find(|e| e.micro == micro && e.layout == layout)
+            .position(|e| e.micro == micro && e.layout.kind() == kind)?;
+        Some((i, self.ops[i].layout.width()))
     }
 
     /// Iterates entries of one tier.

@@ -407,8 +407,11 @@ impl FitsFlow {
             if rate >= self.min_static_rate {
                 break;
             }
-            // Iterate: widen the dictionaries (cheapest corrective lever).
-            opts.max_dict_bits = (opts.max_dict_bits + 1).min(8);
+            // Iterate: widen the dictionaries (cheapest corrective lever),
+            // while a wider index can still change the synthesis.
+            if !opts.widen_dicts() {
+                break;
+            }
         }
         let (synthesis, translation) = best.expect("at least one iteration ran");
         let rate = translation.stats.static_one_to_one_rate();

@@ -54,7 +54,9 @@ pub mod profile;
 pub mod synth;
 pub mod translate;
 
-pub use decoder::{DecoderConfig, Dictionaries, Layout, MicroOp, OpcodeEntry, RegMap, Tier};
+pub use decoder::{
+    DecoderConfig, Dictionaries, Layout, LayoutKind, MicroOp, OpcodeEntry, RegMap, Tier,
+};
 pub use exec::{decode_word, disassemble, op_meta, FitsOp, FitsSet};
 pub use flow::{
     FitsFlow, FlowError, FlowObserver, FlowOutcome, FlowStage, FlowValidator, TeeObserver,
@@ -67,5 +69,5 @@ pub use multi::{
     MultiOutcome,
 };
 pub use profile::{profile, profile_with, OpKey, Profile};
-pub use synth::{synthesize, SynthOptions, Synthesis};
+pub use synth::{synthesize, SynthOptions, Synthesis, WIDEST_DICT_BITS};
 pub use translate::{translate, FitsProgram, MappingStats, TranslateError, Translation};

@@ -210,7 +210,9 @@ fn synth_translate(
             Ok(translation) => return Ok((synthesis, translation, iteration + 1)),
             Err(e) => last_err = Some(e),
         }
-        opts.max_dict_bits = (opts.max_dict_bits + 1).min(8);
+        if !opts.widen_dicts() {
+            break;
+        }
     }
     Err(last_err.expect("at least one iteration ran"))
 }
@@ -281,10 +283,9 @@ pub fn synthesize_multi(
                 break;
             }
             Some((member, error)) => {
-                if iteration + 1 == options.max_iterations.max(1) {
+                if iteration + 1 == options.max_iterations.max(1) || !opts.widen_dicts() {
                     return Err(MultiError::Translate { member, error });
                 }
-                opts.max_dict_bits = (opts.max_dict_bits + 1).min(8);
             }
         }
     }

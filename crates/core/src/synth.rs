@@ -24,8 +24,10 @@ use std::collections::{BTreeMap, HashMap};
 
 use fits_isa::{Cond, DpOp, MemOp, ShiftKind};
 
-use crate::decoder::{DecoderConfig, Dictionaries, Layout, MicroOp, OpcodeEntry, RegMap, Tier};
-use crate::profile::{signed_bits, unsigned_bits, OpKey, Profile};
+use crate::decoder::{
+    DecoderConfig, Dictionaries, Layout, LayoutKind, MicroOp, OpcodeEntry, RegMap, Tier,
+};
+use crate::profile::{signed_bits, unsigned_bits, OpKey, Profile, ValueHist};
 
 /// Synthesis options (the ablation knobs).
 #[derive(Clone, Debug)]
@@ -41,7 +43,9 @@ pub struct SynthOptions {
     /// whole space). Lower budgets model sharing the space across several
     /// resident applications.
     pub space_budget: f64,
-    /// Maximum dictionary index width the optimizer may request.
+    /// Maximum dictionary index width the optimizer may request. No
+    /// candidate asks for more than [`WIDEST_DICT_BITS`], so any larger
+    /// value synthesizes as that width does.
     pub max_dict_bits: u8,
 }
 
@@ -53,6 +57,19 @@ impl Default for SynthOptions {
             space_budget: 1.0,
             max_dict_bits: 6,
         }
+    }
+}
+
+impl SynthOptions {
+    /// Widens `max_dict_bits` by one bit, the flows' corrective lever when
+    /// a translation falls short. Returns `false`, leaving the options as
+    /// they are, once no candidate could use the wider index.
+    pub fn widen_dicts(&mut self) -> bool {
+        if self.max_dict_bits >= WIDEST_DICT_BITS {
+            return false;
+        }
+        self.max_dict_bits += 1;
+        true
     }
 }
 
@@ -70,25 +87,16 @@ struct Selected {
     weight: u64,
 }
 
-/// Discriminates layout kinds so a micro-op can hold at most one literal
-/// and one dictionary variant simultaneously.
-fn layout_kind(l: Layout) -> u8 {
-    match l {
-        Layout::R3 => 0,
-        Layout::R2 => 1,
-        Layout::R2Imm { .. } => 2,
-        Layout::R2Dict { .. } => 3,
-        Layout::RRImm { .. } => 4,
-        Layout::RRDict { .. } => 5,
-        Layout::MemImm { .. } => 6,
-        Layout::MemDict { .. } => 7,
-        Layout::Br { .. } => 8,
-        Layout::R1 => 9,
-        Layout::Trap { .. } => 10,
-    }
-}
+/// One opcode form (micro-op and layout kind) per entry: a micro-op holds
+/// at most one literal and one dictionary variant at a time. The key order
+/// breaks ties between equal-weight entries in [`assign_codes`].
+type Selection = BTreeMap<(MicroOp, LayoutKind), Selected>;
 
-type SelKey = (MicroOp, u8);
+/// The field width of each form `sel` holds, as `form(micro, kind)`: the
+/// synthesizer's side of [`DecoderConfig::form`].
+fn widths(sel: &Selection) -> impl Fn(MicroOp, LayoutKind) -> Option<u8> + '_ {
+    |micro, kind| sel.get(&(micro, kind)).map(|s| s.layout.width())
+}
 
 /// The synthesis result.
 #[derive(Clone, Debug)]
@@ -110,6 +118,42 @@ pub struct SynthReport {
     pub predicted_expansion: f64,
 }
 
+/// Dictionary-index widths offered to the two-address immediate forms.
+const DP_DICT_WIDTHS: [u8; 4] = [3, 4, 5, 6];
+/// Literal and dictionary-index widths offered to the three-address
+/// immediate forms.
+const DP3_WIDTHS: [u8; 3] = [2, 3, 4];
+/// Dictionary-index widths offered to compares.
+const CMP_DICT_WIDTHS: [u8; 3] = [3, 4, 5];
+/// Dictionary-index widths offered to loads and stores.
+const MEM_DICT_WIDTHS: [u8; 3] = [2, 3, 4];
+
+/// The widest dictionary index any AIS candidate asks for. BIS and SIS
+/// dictionary forms are narrower, so `max_dict_bits` past this changes no
+/// synthesis.
+pub const WIDEST_DICT_BITS: u8 = widest(&[
+    &DP_DICT_WIDTHS,
+    &DP3_WIDTHS,
+    &CMP_DICT_WIDTHS,
+    &MEM_DICT_WIDTHS,
+]);
+
+const fn widest(lists: &[&[u8]]) -> u8 {
+    let mut max = 0;
+    let mut i = 0;
+    while i < lists.len() {
+        let mut j = 0;
+        while j < lists[i].len() {
+            if lists[i][j] > max {
+                max = lists[i][j];
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    max
+}
+
 // ---------------------------------------------------------------------------
 // Coverage precomputation
 // ---------------------------------------------------------------------------
@@ -126,41 +170,64 @@ struct FamilyData {
     dict_cov: [f64; 17],
 }
 
-fn rank_map(values: &[(u32, crate::profile::Stat)]) -> HashMap<u32, usize> {
-    values
-        .iter()
-        .enumerate()
-        .map(|(i, (v, _))| (*v, i))
-        .collect()
+/// The operate, memory-displacement and shift-amount values, each ranked
+/// by dynamic weight summed over all families of its category: the order
+/// the category's dictionary fills in.
+fn rankings(profile: &Profile) -> [Vec<u32>; 3] {
+    fn ranking<K>(hists: &BTreeMap<K, ValueHist>) -> Vec<u32> {
+        let mut all = ValueHist::default();
+        for hist in hists.values() {
+            for (v, s) in hist.by_dynamic_weight() {
+                all.record_weighted(v, s);
+            }
+        }
+        all.by_dynamic_weight()
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect()
+    }
+    [
+        ranking(&profile.operate_imms),
+        ranking(&profile.mem_disps),
+        ranking(&profile.shift_amounts),
+    ]
 }
 
-fn build_family_data(profile: &Profile, opts: &SynthOptions) -> BTreeMap<OpKey, FamilyData> {
-    // Global category dictionaries, by dynamic weight.
-    let mut operate_all = crate::profile::ValueHist::default();
-    for hist in profile.operate_imms.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            for _ in 0..s.stat {
-                // merge preserving both weights
-            }
-            operate_all.record_weighted(v, s);
-        }
-    }
-    let operate_rank = rank_map(&operate_all.by_dynamic_weight());
-    let mut mem_all = crate::profile::ValueHist::default();
-    for hist in profile.mem_disps.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            mem_all.record_weighted(v, s);
-        }
-    }
-    let mem_rank = rank_map(&mem_all.by_dynamic_weight());
-    let mut shift_all = crate::profile::ValueHist::default();
-    for hist in profile.shift_amounts.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            shift_all.record_weighted(v, s);
-        }
-    }
-    let shift_rank = rank_map(&shift_all.by_dynamic_weight());
+/// Each value's position in a ranking.
+fn rank_map(ranking: &[u32]) -> HashMap<u32, usize> {
+    ranking.iter().enumerate().map(|(i, v)| (*v, i)).collect()
+}
 
+/// Fills `fd`'s coverage tables from one value histogram: for each width
+/// 0..=16, the dynamic share a literal field holds (`lit_fits`) and, given
+/// a dictionary `(rank, reserved)`, the share among its first
+/// `2^min(w, max_dict_bits)` values less `reserved` slots from 4 bits up.
+fn fill_coverage(
+    fd: &mut FamilyData,
+    hist: &ValueHist,
+    lit_fits: impl Fn(u32, u8) -> bool,
+    dict: Option<(&HashMap<u32, usize>, usize)>,
+    max_dict_bits: u8,
+) {
+    let total = hist.total_dyn().max(1) as f64;
+    for w in 0..=16u8 {
+        fd.lit_cov[w as usize] = hist.dyn_where(|v| lit_fits(v, w)) as f64 / total;
+        if let Some((rank, reserved)) = dict {
+            let cap = 1usize << w.min(max_dict_bits);
+            let cap = cap.saturating_sub(if w >= 4 { reserved } else { 0 });
+            fd.dict_cov[w as usize] =
+                hist.dyn_where(|v| rank.get(&v).is_some_and(|r| *r < cap)) as f64 / total;
+        }
+    }
+}
+
+fn build_family_data(
+    profile: &Profile,
+    rankings: &[Vec<u32>; 3],
+    opts: &SynthOptions,
+) -> BTreeMap<OpKey, FamilyData> {
+    let [operate_rank, mem_rank, shift_rank] = rankings.each_ref().map(|r| rank_map(r));
+    let max = opts.max_dict_bits;
     let mut out = BTreeMap::new();
     for (key, stat) in &profile.families {
         let mut fd = FamilyData {
@@ -169,91 +236,42 @@ fn build_family_data(profile: &Profile, opts: &SynthOptions) -> BTreeMap<OpKey, 
             ..FamilyData::default()
         };
         match key {
-            OpKey::DpReg(op, _) => {
-                fd.eq_rate = if op.ignores_rn() {
-                    1.0
-                } else {
-                    profile.two_address_rate(*key)
-                };
+            OpKey::DpReg(op, _) | OpKey::DpImm(op, _) if !op.ignores_rn() => {
+                fd.eq_rate = profile.two_address_rate(*key);
             }
-            OpKey::DpImm(op, _) => {
-                fd.eq_rate = if op.ignores_rn() {
-                    1.0
-                } else {
-                    profile.two_address_rate(*key)
-                };
+            OpKey::ShiftReg(..) => fd.eq_rate = profile.two_address_rate(*key),
+            _ => {}
+        }
+        match key {
+            OpKey::DpImm(..) | OpKey::CmpImm(_) => {
                 if let Some(hist) = profile.operate_imms.get(key) {
-                    let total = hist.total_dyn().max(1) as f64;
-                    for w in 0..=16u8 {
-                        fd.lit_cov[w as usize] =
-                            hist.dyn_where(|v| w > 0 && unsigned_bits(v) <= w) as f64 / total;
-                        let cap = 1usize << w.min(opts.max_dict_bits);
-                        let cap = cap.saturating_sub(if w >= 4 { RESERVED_DICT_SLOTS } else { 0 });
-                        fd.dict_cov[w as usize] = hist
-                            .dyn_where(|v| operate_rank.get(&v).is_some_and(|r| *r < cap))
-                            as f64
-                            / total;
-                    }
-                }
-            }
-            OpKey::CmpImm(_) => {
-                if let Some(hist) = profile.operate_imms.get(key) {
-                    let total = hist.total_dyn().max(1) as f64;
-                    for w in 0..=16u8 {
-                        fd.lit_cov[w as usize] =
-                            hist.dyn_where(|v| w > 0 && unsigned_bits(v) <= w) as f64 / total;
-                        let cap = 1usize << w.min(opts.max_dict_bits);
-                        let cap = cap.saturating_sub(if w >= 4 { RESERVED_DICT_SLOTS } else { 0 });
-                        fd.dict_cov[w as usize] = hist
-                            .dyn_where(|v| operate_rank.get(&v).is_some_and(|r| *r < cap))
-                            as f64
-                            / total;
-                    }
+                    let dict = Some((&operate_rank, RESERVED_DICT_SLOTS));
+                    fill_coverage(&mut fd, hist, fits_unsigned, dict, max);
                 }
             }
             OpKey::Mem(op) => {
                 if let Some(hist) = profile.mem_disps.get(op) {
-                    let total = hist.total_dyn().max(1) as f64;
                     let scale = disp_scale(*op);
-                    for w in 0..=16u8 {
-                        fd.lit_cov[w as usize] =
-                            hist.dyn_where(|raw| mem_lit_fits(raw as i32, w, scale)) as f64 / total;
-                        let cap = 1usize << w.min(opts.max_dict_bits);
-                        fd.dict_cov[w as usize] =
-                            hist.dyn_where(|v| mem_rank.get(&v).is_some_and(|r| *r < cap)) as f64
-                                / total;
-                    }
+                    let fits = |raw: u32, w| mem_lit_fits(raw as i32, w, scale);
+                    fill_coverage(&mut fd, hist, fits, Some((&mem_rank, 0)), max);
                 }
             }
             OpKey::Branch(cond, link) => {
                 if let Some(hist) = profile.branch_disps.get(&(*cond, *link)) {
-                    let total = hist.total_dyn().max(1) as f64;
-                    for w in 0..=16u8 {
-                        // ARM word offsets become FITS instruction offsets
-                        // with some inflation; leave 30% margin.
-                        fd.lit_cov[w as usize] = hist.dyn_where(|raw| {
-                            let inflated = (f64::from(raw as i32) * 1.3).abs().ceil() as i64;
-                            w > 1 && inflated < (1i64 << (w - 1)) - 2
-                        }) as f64
-                            / total;
-                    }
+                    // ARM word offsets become FITS instruction offsets
+                    // with some inflation; leave 30% margin.
+                    let fits = |raw: u32, w: u8| {
+                        let inflated = (f64::from(raw as i32) * 1.3).abs().ceil() as i64;
+                        w > 1 && inflated < (1i64 << (w - 1)) - 2
+                    };
+                    fill_coverage(&mut fd, hist, fits, None, max);
                 }
             }
             OpKey::ShiftImm(kind, _) => {
                 if let Some(hist) = profile.shift_amounts.get(kind) {
-                    let total = hist.total_dyn().max(1) as f64;
-                    for w in 0..=16u8 {
-                        fd.lit_cov[w as usize] =
-                            hist.dyn_where(|v| w > 0 && unsigned_bits(v) <= w) as f64 / total;
-                        let cap = 1usize << w.min(opts.max_dict_bits);
-                        fd.dict_cov[w as usize] =
-                            hist.dyn_where(|v| shift_rank.get(&v).is_some_and(|r| *r < cap)) as f64
-                                / total;
-                    }
+                    let dict = Some((&shift_rank, 0));
+                    fill_coverage(&mut fd, hist, fits_unsigned, dict, max);
                 }
-            }
-            OpKey::ShiftReg(..) => {
-                fd.eq_rate = profile.two_address_rate(*key);
             }
             _ => {}
         }
@@ -265,12 +283,17 @@ fn build_family_data(profile: &Profile, opts: &SynthOptions) -> BTreeMap<OpKey, 
 /// Field scaling for memory displacements: word/halfword fields are scaled
 /// and unsigned; byte fields are signed and unscaled (matching the access
 /// patterns compiled code produces).
-fn disp_scale(op: MemOp) -> u32 {
+pub(crate) fn disp_scale(op: MemOp) -> u32 {
     match op.size() {
         4 => 4,
         2 => 2,
         _ => 1,
     }
+}
+
+/// Whether `v` fits a `w`-bit unsigned literal field.
+pub(crate) fn fits_unsigned(v: u32, w: u8) -> bool {
+    w >= 1 && unsigned_bits(v) <= w && w <= 16
 }
 
 /// Whether a raw displacement fits a `w`-bit literal field under the
@@ -294,67 +317,33 @@ pub(crate) fn mem_lit_fits(disp: i32, w: u8, scale: u32) -> bool {
 /// with the SIS `movi`/`lsli`/`ori` chain (empirical midpoint).
 const CONST_BUILD_COST: f64 = 4.0;
 
-fn selection_widths(
-    sel: &BTreeMap<SelKey, Selected>,
-    micro_pred: impl Fn(&MicroOp) -> bool,
-) -> (Option<u8>, Option<u8>, bool, bool) {
-    // (literal width, dict width, has 3-op, has 2-op-reg) for entries whose
-    // micro satisfies the predicate.
-    let mut lit = None;
-    let mut dict = None;
-    let mut has3 = false;
-    let mut has2 = false;
-    for s in sel.values() {
-        if !micro_pred(&s.micro) {
-            continue;
-        }
-        match s.layout {
-            Layout::R2Imm { w } | Layout::RRImm { w } | Layout::MemImm { w } | Layout::Br { w } => {
-                lit = Some(lit.map_or(w, |c: u8| c.max(w)));
-            }
-            Layout::R2Dict { w } | Layout::RRDict { w } | Layout::MemDict { w } => {
-                dict = Some(dict.map_or(w, |c: u8| c.max(w)));
-            }
-            Layout::R3 => has3 = true,
-            Layout::R2 => has2 = true,
-            _ => {}
-        }
-    }
-    (lit, dict, has3, has2)
-}
-
-/// Expected FITS instructions per dynamic use of `key` under `sel`.
-fn family_cost(key: OpKey, fd: &FamilyData, sel: &BTreeMap<SelKey, Selected>) -> f64 {
+/// Expected FITS instructions per dynamic use of `key`, given the field
+/// width of each form the configuration holds (`form(micro, kind)`).
+fn family_cost(
+    key: OpKey,
+    fd: &FamilyData,
+    form: &impl Fn(MicroOp, LayoutKind) -> Option<u8>,
+) -> f64 {
+    let lit_cov = |w: Option<u8>| w.map_or(0.0, |w| fd.lit_cov[w as usize]);
+    let dict_cov = |w: Option<u8>| w.map_or(0.0, |w| fd.dict_cov[w as usize]);
+    // Literal or dictionary: the better of the two forms covers.
+    let covered = |micro, lit, dict| lit_cov(form(micro, lit)).max(dict_cov(form(micro, dict)));
     match key {
-        OpKey::DpReg(op, sf) => {
-            let (_, _, has3, has2) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::Dp3{op: o, set_flags: s} | MicroOp::Dp2Reg{op: o, set_flags: s} if *o == op && *s == sf),
-            );
-            if has3 {
+        OpKey::DpReg(op, set_flags) => {
+            if form(MicroOp::Dp3 { op, set_flags }, LayoutKind::R3).is_some() {
                 1.0
-            } else if has2 {
+            } else if form(MicroOp::Dp2Reg { op, set_flags }, LayoutKind::R2).is_some() {
                 2.0 - fd.eq_rate
             } else {
                 3.0
             }
         }
-        OpKey::DpImm(op, sf) => {
-            let (lit, dict, _, _) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::Dp2Imm{op: o, set_flags: s} if *o == op && *s == sf),
-            );
-            let (lit3, dict3, _, _) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::Dp3{op: o, set_flags: s} if *o == op && *s == sf),
-            );
-            let lit_cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
-            let dict_cov = dict.map_or(0.0, |w| fd.dict_cov[w as usize]);
+        OpKey::DpImm(op, set_flags) => {
+            let dp2 = MicroOp::Dp2Imm { op, set_flags };
+            let covered2 = covered(dp2, LayoutKind::R2Imm, LayoutKind::R2Dict);
             // 3-address immediate forms cover regardless of rd == rn.
-            let cov3 = lit3
-                .map_or(0.0, |w| fd.lit_cov[w as usize])
-                .max(dict3.map_or(0.0, |w| fd.dict_cov[w as usize]));
-            let covered2 = lit_cov.max(dict_cov);
+            let dp3 = MicroOp::Dp3 { op, set_flags };
+            let cov3 = covered(dp3, LayoutKind::RRImm, LayoutKind::RRDict);
             let eq = fd.eq_rate;
             // Best case per use: 3-addr hit (1), else 2-addr hit with
             // rd == rn (1), else 2-addr hit plus mov (2), else build.
@@ -364,50 +353,34 @@ fn family_cost(key: OpKey, fd: &FamilyData, sel: &BTreeMap<SelKey, Selected>) ->
             one + 2.0 * two + rest * (CONST_BUILD_COST + 1.0)
         }
         OpKey::CmpImm(op) => {
-            let (lit, dict, _, has2) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::CmpImm { op: o } | MicroOp::CmpReg { op: o } if *o == op),
+            let cov = covered(
+                MicroOp::CmpImm { op },
+                LayoutKind::R2Imm,
+                LayoutKind::R2Dict,
             );
-            let _ = has2;
-            let lit_cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
-            let dict_cov = dict.map_or(0.0, |w| fd.dict_cov[w as usize]);
-            let covered = lit_cov.max(dict_cov);
-            covered + (1.0 - covered) * (CONST_BUILD_COST + 1.0)
+            cov + (1.0 - cov) * (CONST_BUILD_COST + 1.0)
         }
         OpKey::Mem(op) => {
-            let (lit, dict, _, _) =
-                selection_widths(sel, |m| matches!(m, MicroOp::Mem { op: o } if *o == op));
-            let lit_cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
-            let dict_cov = dict.map_or(0.0, |w| fd.dict_cov[w as usize]);
-            let covered = lit_cov.max(dict_cov);
-            covered + (1.0 - covered) * 3.0
+            let cov = covered(MicroOp::Mem { op }, LayoutKind::MemImm, LayoutKind::MemDict);
+            cov + (1.0 - cov) * 3.0
         }
         OpKey::Branch(cond, link) => {
-            let (lit, _, _, _) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::Branch { cond: c, link: l } if *c == cond && *l == link),
-            );
-            let cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
+            let cov = lit_cov(form(MicroOp::Branch { cond, link }, LayoutKind::Br));
             cov + (1.0 - cov) * 2.0
         }
-        OpKey::ShiftImm(kind, sf) => {
-            let (lit, dict, _, _) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::ShiftImm { kind: k, set_flags: s } if *k == kind && *s == sf),
-            );
-            let lit_cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
-            let dict_cov = dict.map_or(0.0, |w| fd.dict_cov[w as usize]);
-            let covered = lit_cov.max(dict_cov);
-            covered + (1.0 - covered) * 3.0
+        OpKey::ShiftImm(kind, set_flags) => {
+            let shift = MicroOp::ShiftImm { kind, set_flags };
+            let cov = covered(shift, LayoutKind::RRImm, LayoutKind::RRDict);
+            cov + (1.0 - cov) * 3.0
         }
         OpKey::ShiftReg(..) => 2.0 - fd.eq_rate,
         OpKey::PredMov(cond, imm) => {
-            let present = sel.values().any(|s| match (&s.micro, imm) {
-                (MicroOp::PredMovImm { cond: c }, true) => *c == cond,
-                (MicroOp::PredMovReg { cond: c }, false) => *c == cond,
-                _ => false,
-            });
-            if present {
+            let present = if imm {
+                form(MicroOp::PredMovImm { cond }, LayoutKind::R2Imm)
+            } else {
+                form(MicroOp::PredMovReg { cond }, LayoutKind::R2)
+            };
+            if present.is_some() {
                 1.0
             } else {
                 2.0
@@ -417,14 +390,19 @@ fn family_cost(key: OpKey, fd: &FamilyData, sel: &BTreeMap<SelKey, Selected>) ->
     }
 }
 
-fn total_cost(families: &BTreeMap<OpKey, FamilyData>, sel: &BTreeMap<SelKey, Selected>) -> f64 {
+/// Expected FITS instructions over the whole profile, given the field
+/// width of each form the configuration holds.
+fn total_cost(
+    families: &BTreeMap<OpKey, FamilyData>,
+    form: &impl Fn(MicroOp, LayoutKind) -> Option<u8>,
+) -> f64 {
     families
         .iter()
-        .map(|(k, fd)| fd.dyn_ as f64 * family_cost(*k, fd, sel))
+        .map(|(k, fd)| fd.dyn_ as f64 * family_cost(*k, fd, form))
         .sum()
 }
 
-fn space_of(sel: &BTreeMap<SelKey, Selected>, r: u8) -> u64 {
+fn space_of(sel: &Selection, r: u8) -> u64 {
     sel.values().map(|s| 1u64 << s.layout.operand_bits(r)).sum()
 }
 
@@ -432,14 +410,8 @@ fn space_of(sel: &BTreeMap<SelKey, Selected>, r: u8) -> u64 {
 // Synthesis proper
 // ---------------------------------------------------------------------------
 
-fn insert(
-    sel: &mut BTreeMap<SelKey, Selected>,
-    micro: MicroOp,
-    layout: Layout,
-    tier: Tier,
-    weight: u64,
-) {
-    let key = (micro, layout_kind(layout));
+fn insert(sel: &mut Selection, micro: MicroOp, layout: Layout, tier: Tier, weight: u64) {
+    let key = (micro, layout.kind());
     let entry = Selected {
         micro,
         layout,
@@ -458,9 +430,10 @@ fn insert(
 #[must_use]
 pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
     let r = opts.reg_bits;
-    let families = build_family_data(profile, opts);
+    let rankings = rankings(profile);
+    let families = build_family_data(profile, &rankings, opts);
     let budget = (65536.0 * opts.space_budget) as u64;
-    let mut sel: BTreeMap<SelKey, Selected> = BTreeMap::new();
+    let mut sel = Selection::new();
     let weight = |k: &OpKey| profile.families.get(k).map_or(0, |s| s.dyn_);
 
     // ---- BIS: universal base operations -------------------------------
@@ -718,7 +691,7 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
                         Layout::R2Imm { w },
                     ));
                 }
-                for w in [3u8, 4, 5, 6] {
+                for w in DP_DICT_WIDTHS {
                     candidates.push((
                         MicroOp::Dp2Imm {
                             op: *op,
@@ -731,7 +704,7 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
                 }
                 // Figure 2's Operate format: 3-address with an immediate
                 // OPRD (literal or dictionary index).
-                for w in [2u8, 3, 4] {
+                for w in DP3_WIDTHS {
                     candidates.push((
                         MicroOp::Dp3 {
                             op: *op,
@@ -754,7 +727,7 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
                 for w in [3u8, 4, 5, 6, 8] {
                     candidates.push((MicroOp::CmpImm { op: *op }, Layout::R2Imm { w }));
                 }
-                for w in [3u8, 4, 5] {
+                for w in CMP_DICT_WIDTHS {
                     candidates.push((
                         MicroOp::CmpImm { op: *op },
                         Layout::R2Dict {
@@ -767,7 +740,7 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
                 for w in [2u8, 3, 4, 5, 6] {
                     candidates.push((MicroOp::Mem { op: *op }, Layout::MemImm { w }));
                 }
-                for w in [2u8, 3, 4] {
+                for w in MEM_DICT_WIDTHS {
                     candidates.push((
                         MicroOp::Mem { op: *op },
                         Layout::MemDict {
@@ -814,11 +787,11 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
     // `candidates.len()`.
     let mut upgrades = 0usize;
     loop {
-        let base_cost = total_cost(&families, &sel);
+        let base_cost = total_cost(&families, &widths(&sel));
         let base_space = space_of(&sel, r);
         let mut best: Option<(f64, usize)> = None;
         for (i, (micro, layout)) in candidates.iter().enumerate() {
-            let key = (*micro, layout_kind(*layout));
+            let key = (*micro, layout.kind());
             // Skip no-op "upgrades" (narrower or equal to current).
             if let Some(cur) = sel.get(&key) {
                 if layout.operand_bits(r) <= cur.layout.operand_bits(r) {
@@ -839,7 +812,7 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
             if space > budget {
                 continue;
             }
-            let gain = base_cost - total_cost(&families, &trial);
+            let gain = base_cost - total_cost(&families, &widths(&trial));
             if gain <= 0.0 {
                 continue;
             }
@@ -858,7 +831,7 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
             .map(|(_, s)| s.dyn_)
             .sum();
         sel.insert(
-            (micro, layout_kind(layout)),
+            (micro, layout.kind()),
             Selected {
                 micro,
                 layout,
@@ -874,13 +847,10 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
     }
 
     // ---- Build dictionaries ---------------------------------------------
-    let dict_width = |kind_pred: &dyn Fn(&Selected) -> bool| -> u8 {
+    let dict_width = |in_dict: &dyn Fn(&Selected) -> bool| -> u8 {
         sel.values()
-            .filter(|s| kind_pred(s))
-            .map(|s| match s.layout {
-                Layout::R2Dict { w } | Layout::RRDict { w } | Layout::MemDict { w } => w,
-                _ => 0,
-            })
+            .filter(|s| in_dict(s))
+            .map(|s| s.layout.width())
             .max()
             .unwrap_or(0)
     };
@@ -890,46 +860,14 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
     });
     let mem_dict_w = dict_width(&|s| matches!(s.layout, Layout::MemDict { .. }));
     let shift_dict_w = dict_width(&|s| matches!(s.layout, Layout::RRDict { .. }));
+    let [mut operate, mut mem_disp, mut shift] = rankings;
+    operate.truncate((1usize << op_dict_w).saturating_sub(RESERVED_DICT_SLOTS));
+    mem_disp.truncate(1 << mem_dict_w);
+    shift.truncate(1 << shift_dict_w);
 
-    let mut operate_all = crate::profile::ValueHist::default();
-    for hist in profile.operate_imms.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            operate_all.record_weighted(v, s);
-        }
-    }
-    let op_cap = (1usize << op_dict_w).saturating_sub(RESERVED_DICT_SLOTS);
-    let operate: Vec<u32> = operate_all
-        .by_dynamic_weight()
-        .into_iter()
-        .take(op_cap)
-        .map(|(v, _)| v)
-        .collect();
-
-    let mut mem_all = crate::profile::ValueHist::default();
-    for hist in profile.mem_disps.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            mem_all.record_weighted(v, s);
-        }
-    }
-    let mem_disp: Vec<u32> = mem_all
-        .by_dynamic_weight()
-        .into_iter()
-        .take(1 << mem_dict_w)
-        .map(|(v, _)| v)
-        .collect();
-
-    let mut shift_all = crate::profile::ValueHist::default();
-    for hist in profile.shift_amounts.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            shift_all.record_weighted(v, s);
-        }
-    }
-    let shift: Vec<u32> = shift_all
-        .by_dynamic_weight()
-        .into_iter()
-        .take(1 << shift_dict_w)
-        .map(|(v, _)| v)
-        .collect();
+    let predicted_expansion =
+        total_cost(&families, &widths(&sel)) / profile.dyn_total.max(1) as f64;
+    let space_used = space_of(&sel, r);
 
     // ---- Canonical (optionally Gray-reordered) code assignment ----------
     let mut entries: Vec<Selected> = sel.into_values().collect();
@@ -962,32 +900,12 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
             target: Vec::new(),
         },
     };
-    let space_used = config.ops.iter().map(|e| 1u64 << (16 - e.len)).sum();
-    let predicted = {
-        let sel_again: BTreeMap<SelKey, Selected> = config
-            .ops
-            .iter()
-            .map(|e| {
-                (
-                    (e.micro, layout_kind(e.layout)),
-                    Selected {
-                        micro: e.micro,
-                        layout: e.layout,
-                        tier: e.tier,
-                        weight: 0,
-                    },
-                )
-            })
-            .collect();
-        total_cost(&families, &sel_again) / profile.dyn_total.max(1) as f64
-    };
-
     Synthesis {
         config,
         report: SynthReport {
             space_used,
             upgrades,
-            predicted_expansion: predicted,
+            predicted_expansion,
         },
     }
 }
@@ -1115,6 +1033,19 @@ mod tests {
             s.report.predicted_expansion
         );
         assert!(s.report.predicted_expansion >= 1.0);
+    }
+
+    /// The prediction, computed from the selection, reads the same through
+    /// the configuration's form lookup that translation uses.
+    #[test]
+    fn prediction_agrees_with_the_config_lookup() {
+        let p = crc_profile();
+        let opts = SynthOptions::default();
+        let s = synthesize(&p, &opts);
+        let families = build_family_data(&p, &rankings(&p), &opts);
+        let form = |micro, kind| s.config.form(micro, kind).map(|(_, w)| w);
+        let predicted = total_cost(&families, &form) / p.dyn_total.max(1) as f64;
+        assert_eq!(predicted.to_bits(), s.report.predicted_expansion.to_bits());
     }
 
     #[test]

@@ -16,11 +16,11 @@
 use std::fmt;
 
 use fits_isa::{
-    AddrOffset, Cond, DpOp, Instr, MemOp, Operand2, Program, Reg, Shift, ShiftKind, TEXT_BASE,
+    AddrOffset, Cond, DpOp, Instr, Operand2, Program, Reg, Shift, ShiftKind, TEXT_BASE,
 };
 
-use crate::decoder::{DecoderConfig, Dictionaries, Layout, MicroOp, OpcodeEntry};
-use crate::synth::mem_lit_fits;
+use crate::decoder::{DecoderConfig, Dictionaries, Layout, LayoutKind, MicroOp, OpcodeEntry};
+use crate::synth::{disp_scale, fits_unsigned, mem_lit_fits};
 
 /// Translation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -196,248 +196,32 @@ pub struct Translation {
 // Config lookup helpers
 // ---------------------------------------------------------------------------
 
-struct Finder<'a> {
-    cfg: &'a DecoderConfig,
-}
-
-impl<'a> Finder<'a> {
-    fn entry_idx(&self, pred: impl Fn(&OpcodeEntry) -> bool) -> Option<usize> {
-        self.cfg.ops.iter().position(pred)
-    }
-
-    fn dp3(&self, op: DpOp, sf: bool) -> Option<usize> {
-        self.entry_idx(|e| {
-            matches!(e.micro, MicroOp::Dp3 { op: o, set_flags: s } if o == op && s == sf)
-                && e.layout == Layout::R3
-        })
-    }
-
-    fn dp2reg(&self, op: DpOp, sf: bool) -> Option<usize> {
-        self.entry_idx(
-            |e| matches!(e.micro, MicroOp::Dp2Reg { op: o, set_flags: s } if o == op && s == sf),
-        )
-    }
-
-    fn dp3imm_lit(&self, op: DpOp, sf: bool) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (
-                    MicroOp::Dp3 {
-                        op: o,
-                        set_flags: s,
-                    },
-                    Layout::RRImm { w },
-                ) if o == op && s == sf => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn dp3imm_dict(&self, op: DpOp, sf: bool) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (
-                    MicroOp::Dp3 {
-                        op: o,
-                        set_flags: s,
-                    },
-                    Layout::RRDict { w },
-                ) if o == op && s == sf => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn dp2imm_lit(&self, op: DpOp, sf: bool) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (
-                    MicroOp::Dp2Imm {
-                        op: o,
-                        set_flags: s,
-                    },
-                    Layout::R2Imm { w },
-                ) if o == op && s == sf => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn dp2imm_dict(&self, op: DpOp, sf: bool) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (
-                    MicroOp::Dp2Imm {
-                        op: o,
-                        set_flags: s,
-                    },
-                    Layout::R2Dict { w },
-                ) if o == op && s == sf => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn cmp_reg(&self, op: DpOp) -> Option<usize> {
-        self.entry_idx(|e| matches!(e.micro, MicroOp::CmpReg { op: o } if o == op))
-    }
-
-    fn cmp_imm_lit(&self, op: DpOp) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (MicroOp::CmpImm { op: o }, Layout::R2Imm { w }) if o == op => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn cmp_imm_dict(&self, op: DpOp) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (MicroOp::CmpImm { op: o }, Layout::R2Dict { w }) if o == op => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn shift_lit(&self, kind: ShiftKind, sf: bool) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (
-                    MicroOp::ShiftImm {
-                        kind: k,
-                        set_flags: s,
-                    },
-                    Layout::RRImm { w },
-                ) if k == kind && s == sf => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn shift_dict(&self, kind: ShiftKind, sf: bool) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (
-                    MicroOp::ShiftImm {
-                        kind: k,
-                        set_flags: s,
-                    },
-                    Layout::RRDict { w },
-                ) if k == kind && s == sf => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn shift_reg(&self, kind: ShiftKind, sf: bool) -> Option<usize> {
-        self.entry_idx(|e| {
-            matches!(e.micro, MicroOp::ShiftReg { kind: k, set_flags: s } if k == kind && s == sf)
-        })
-    }
-
-    fn mul3(&self) -> Option<usize> {
-        self.entry_idx(|e| e.micro == MicroOp::Mul3)
-    }
-
-    fn mem_lit(&self, op: MemOp) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (MicroOp::Mem { op: o }, Layout::MemImm { w }) if o == op => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn mem_dict(&self, op: MemOp) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (MicroOp::Mem { op: o }, Layout::MemDict { w }) if o == op => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn branch(&self, cond: Cond, link: bool) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (MicroOp::Branch { cond: c, link: l }, Layout::Br { w })
-                    if c == cond && l == link =>
-                {
-                    Some((i, w))
-                }
-                _ => None,
-            })
-    }
-
-    fn branch_reg(&self, link: bool) -> Option<usize> {
-        self.entry_idx(|e| matches!(e.micro, MicroOp::BranchReg { link: l } if l == link))
-    }
-
-    fn pred_mov_imm(&self, cond: Cond) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (MicroOp::PredMovImm { cond: c }, Layout::R2Imm { w }) if c == cond => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn pred_mov_reg(&self, cond: Cond) -> Option<usize> {
-        self.entry_idx(|e| matches!(e.micro, MicroOp::PredMovReg { cond: c } if c == cond))
-    }
-
-    fn load_target(&self) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (MicroOp::LoadTarget, Layout::R2Dict { w }) => Some((i, w)),
-                _ => None,
-            })
-    }
-
-    fn swi(&self) -> Option<(usize, u8)> {
-        self.cfg
-            .ops
-            .iter()
-            .enumerate()
-            .find_map(|(i, e)| match (e.micro, e.layout) {
-                (MicroOp::Swi, Layout::Trap { w }) => Some((i, w)),
-                _ => None,
-            })
-    }
-}
-
-fn fits_unsigned(v: u32, w: u8) -> bool {
-    w >= 1 && crate::profile::unsigned_bits(v) <= w && w <= 16
-}
+/// `mov rc, rb` (BIS).
+const MOV: MicroOp = MicroOp::Dp2Reg {
+    op: DpOp::Mov,
+    set_flags: false,
+};
+/// `movi rc, #imm` (SIS literal form) and `movd rc, =value` (SIS
+/// dictionary form).
+const MOVI: MicroOp = MicroOp::Dp2Imm {
+    op: DpOp::Mov,
+    set_flags: false,
+};
+/// `ori rc, #imm` (SIS).
+const ORI: MicroOp = MicroOp::Dp2Imm {
+    op: DpOp::Orr,
+    set_flags: false,
+};
+/// `b` (BIS: the far-branch glue).
+const B: MicroOp = MicroOp::Branch {
+    cond: Cond::Al,
+    link: false,
+};
+/// `lsli rc, ra, #n` (SIS).
+const LSLI: MicroOp = MicroOp::ShiftImm {
+    kind: ShiftKind::Lsl,
+    set_flags: false,
+};
 
 // ---------------------------------------------------------------------------
 // The translator
@@ -453,8 +237,19 @@ struct Translator<'a> {
 }
 
 impl<'a> Translator<'a> {
-    fn finder(&self) -> Finder<'_> {
-        Finder { cfg: &self.cfg }
+    /// The form synthesis guarantees for `micro` in layout `kind`; `what`
+    /// names it in the error when the configuration lacks it.
+    fn base_form(
+        &self,
+        micro: MicroOp,
+        kind: LayoutKind,
+        what: impl fmt::Display,
+    ) -> Result<(usize, u8), TranslateError> {
+        self.cfg
+            .form(micro, kind)
+            .ok_or_else(|| TranslateError::MissingBaseOp {
+                what: what.to_string(),
+            })
     }
 
     fn reg(&self, r: Reg, index: usize) -> Result<u16, TranslateError> {
@@ -510,8 +305,7 @@ impl<'a> Translator<'a> {
         out: &mut Vec<Draft>,
         index: usize,
     ) -> Result<(), TranslateError> {
-        let f = self.finder();
-        if let Some((e, w)) = f.dp2imm_lit(DpOp::Mov, false) {
+        if let Some((e, w)) = self.cfg.form(MOVI, LayoutKind::R2Imm) {
             if fits_unsigned(value, w) {
                 out.push(Draft::Op {
                     entry: e,
@@ -531,22 +325,9 @@ impl<'a> Translator<'a> {
             }
         }
         // Nibble chain.
-        let f = self.finder();
-        let movi = f
-            .dp2imm_lit(DpOp::Mov, false)
-            .ok_or(TranslateError::MissingBaseOp {
-                what: "movi".to_string(),
-            })?;
-        let ori = f
-            .dp2imm_lit(DpOp::Orr, false)
-            .ok_or(TranslateError::MissingBaseOp {
-                what: "ori".to_string(),
-            })?;
-        let lsli = f
-            .shift_lit(ShiftKind::Lsl, false)
-            .ok_or(TranslateError::MissingBaseOp {
-                what: "lsli".to_string(),
-            })?;
+        let movi = self.base_form(MOVI, LayoutKind::R2Imm, "movi")?;
+        let ori = self.base_form(ORI, LayoutKind::R2Imm, "ori")?;
+        let lsli = self.base_form(LSLI, LayoutKind::RRImm, "lsli")?;
         let _ = index;
         let nib_w = movi.1.min(4);
         let step = u32::from(nib_w);
@@ -589,12 +370,7 @@ impl<'a> Translator<'a> {
 
     /// Register-to-register move.
     fn mov_reg(&self, dst: u16, src: u16, out: &mut Vec<Draft>) -> Result<(), TranslateError> {
-        let e = self
-            .finder()
-            .dp2reg(DpOp::Mov, false)
-            .ok_or(TranslateError::MissingBaseOp {
-                what: "mov".to_string(),
-            })?;
+        let (e, _) = self.base_form(MOV, LayoutKind::R2, "mov")?;
         out.push(Draft::Op {
             entry: e,
             fields: [dst, src, 0],
@@ -607,24 +383,28 @@ impl<'a> Translator<'a> {
     fn dp_reg_general(
         &mut self,
         op: DpOp,
-        sf: bool,
+        set_flags: bool,
         rd: u16,
         rn: u16,
         rm: u16,
         out: &mut Vec<Draft>,
         index: usize,
     ) -> Result<(), TranslateError> {
-        let f = self.finder();
-        if let Some(e) = f.dp3(op, sf) {
+        if let Some((e, _)) = self
+            .cfg
+            .form(MicroOp::Dp3 { op, set_flags }, LayoutKind::R3)
+        {
             out.push(Draft::Op {
                 entry: e,
                 fields: [rd, rn, rm],
             });
             return Ok(());
         }
-        let two = f.dp2reg(op, sf).ok_or(TranslateError::MissingBaseOp {
-            what: format!("2-address {op}"),
-        })?;
+        let (two, _) = self.base_form(
+            MicroOp::Dp2Reg { op, set_flags },
+            LayoutKind::R2,
+            format_args!("2-address {op}"),
+        )?;
         if op.ignores_rn() {
             out.push(Draft::Op {
                 entry: two,
@@ -672,15 +452,15 @@ impl<'a> Translator<'a> {
     fn shift_imm_general(
         &mut self,
         kind: ShiftKind,
-        sf: bool,
+        set_flags: bool,
         rd: u16,
         rm: u16,
         n: u32,
         out: &mut Vec<Draft>,
         index: usize,
     ) -> Result<(), TranslateError> {
-        let f = self.finder();
-        if let Some((e, w)) = f.shift_lit(kind, sf) {
+        let shift = MicroOp::ShiftImm { kind, set_flags };
+        if let Some((e, w)) = self.cfg.form(shift, LayoutKind::RRImm) {
             if fits_unsigned(n, w) {
                 out.push(Draft::Op {
                     entry: e,
@@ -689,7 +469,7 @@ impl<'a> Translator<'a> {
                 return Ok(());
             }
         }
-        if let Some((e, w)) = f.shift_dict(kind, sf) {
+        if let Some((e, w)) = self.cfg.form(shift, LayoutKind::RRDict) {
             if let Some(idx) = Dictionaries::index_of(&self.cfg.dicts.shift, n, w) {
                 out.push(Draft::Op {
                     entry: e,
@@ -719,12 +499,11 @@ impl<'a> Translator<'a> {
             });
         }
         self.build_const(ip, n, out, index)?;
-        let sr = self
-            .finder()
-            .shift_reg(kind, sf)
-            .ok_or(TranslateError::MissingBaseOp {
-                what: format!("shift-reg {kind}"),
-            })?;
+        let (sr, _) = self.base_form(
+            MicroOp::ShiftReg { kind, set_flags },
+            LayoutKind::R2,
+            format_args!("shift-reg {kind}"),
+        )?;
         if rd != rm {
             self.mov_reg(rd, rm, out)?;
         }
@@ -753,16 +532,17 @@ impl<'a> Translator<'a> {
                 op2,
                 ..
             } => {
+                let (op, set_flags) = (*op, *set_flags);
                 // Compares.
                 if op.is_compare() {
                     let rn_e = self.reg(*rn, index)?;
                     match op2 {
                         Operand2::Reg(rm, Shift::Imm(ShiftKind::Lsl, 0)) => {
                             let rm_e = self.reg(*rm, index)?;
-                            let e = self.finder().cmp_reg(*op).ok_or(
-                                TranslateError::MissingBaseOp {
-                                    what: format!("{op} reg"),
-                                },
+                            let (e, _) = self.base_form(
+                                MicroOp::CmpReg { op },
+                                LayoutKind::R2,
+                                format_args!("{op} reg"),
                             )?;
                             out.push(Draft::Op {
                                 entry: e,
@@ -780,8 +560,8 @@ impl<'a> Translator<'a> {
                                     what: "rotated logical compare immediate".to_string(),
                                 });
                             }
-                            let f = self.finder();
-                            if let Some((e, w)) = f.cmp_imm_lit(*op) {
+                            let cmp = MicroOp::CmpImm { op };
+                            if let Some((e, w)) = self.cfg.form(cmp, LayoutKind::R2Imm) {
                                 if fits_unsigned(v, w) {
                                     out.push(Draft::Op {
                                         entry: e,
@@ -790,7 +570,7 @@ impl<'a> Translator<'a> {
                                     return Ok(());
                                 }
                             }
-                            if let Some((e, w)) = f.cmp_imm_dict(*op) {
+                            if let Some((e, w)) = self.cfg.form(cmp, LayoutKind::R2Dict) {
                                 if let Some(idx) =
                                     Dictionaries::index_of(&self.cfg.dicts.operate, v, w)
                                 {
@@ -801,10 +581,9 @@ impl<'a> Translator<'a> {
                                     return Ok(());
                                 }
                                 // Try appending to the reserved slots.
-                                let e_w = (e, w);
-                                if let Some(idx) = self.op_dict_index(v, e_w.1) {
+                                if let Some(idx) = self.op_dict_index(v, w) {
                                     out.push(Draft::Op {
-                                        entry: e_w.0,
+                                        entry: e,
                                         fields: [rn_e, idx, 0],
                                     });
                                     return Ok(());
@@ -813,10 +592,10 @@ impl<'a> Translator<'a> {
                             // Build the constant and compare by register.
                             let ip = self.scratch(index)?;
                             self.build_const(ip, v, out, index)?;
-                            let e = self.finder().cmp_reg(*op).ok_or(
-                                TranslateError::MissingBaseOp {
-                                    what: format!("{op} reg"),
-                                },
+                            let (e, _) = self.base_form(
+                                MicroOp::CmpReg { op },
+                                LayoutKind::R2,
+                                format_args!("{op} reg"),
                             )?;
                             out.push(Draft::Op {
                                 entry: e,
@@ -828,10 +607,10 @@ impl<'a> Translator<'a> {
                             // scratch first.
                             let ip = self.scratch(index)?;
                             self.expand_shift_operand(*rm, *shift, ip, index, out)?;
-                            let e = self.finder().cmp_reg(*op).ok_or(
-                                TranslateError::MissingBaseOp {
-                                    what: format!("{op} reg"),
-                                },
+                            let (e, _) = self.base_form(
+                                MicroOp::CmpReg { op },
+                                LayoutKind::R2,
+                                format_args!("{op} reg"),
                             )?;
                             out.push(Draft::Op {
                                 entry: e,
@@ -844,13 +623,13 @@ impl<'a> Translator<'a> {
 
                 // PC writes are indirect jumps.
                 if rd.is_pc() {
-                    if *op == DpOp::Mov {
+                    if op == DpOp::Mov {
                         if let Operand2::Reg(rm, Shift::Imm(ShiftKind::Lsl, 0)) = op2 {
                             let ra = self.reg(*rm, index)?;
-                            let e = self.finder().branch_reg(false).ok_or(
-                                TranslateError::MissingBaseOp {
-                                    what: "jr".to_string(),
-                                },
+                            let (e, _) = self.base_form(
+                                MicroOp::BranchReg { link: false },
+                                LayoutKind::R1,
+                                "jr",
                             )?;
                             out.push(Draft::Op {
                                 entry: e,
@@ -872,7 +651,7 @@ impl<'a> Translator<'a> {
                         let rm_e = self.reg(*rm, index)?;
                         self.shift_imm_general(
                             *kind,
-                            *set_flags,
+                            set_flags,
                             rd_e,
                             rm_e,
                             u32::from(*n),
@@ -884,10 +663,13 @@ impl<'a> Translator<'a> {
                     (DpOp::Mov, Operand2::Reg(rm, Shift::Reg(kind, rs))) => {
                         let rm_e = self.reg(*rm, index)?;
                         let rs_e = self.reg(*rs, index)?;
-                        let sr = self.finder().shift_reg(*kind, *set_flags).ok_or(
-                            TranslateError::MissingBaseOp {
-                                what: format!("shift-reg {kind}"),
+                        let (sr, _) = self.base_form(
+                            MicroOp::ShiftReg {
+                                kind: *kind,
+                                set_flags,
                             },
+                            LayoutKind::R2,
+                            format_args!("shift-reg {kind}"),
                         )?;
                         if rd_e == rm_e {
                             out.push(Draft::Op {
@@ -914,12 +696,12 @@ impl<'a> Translator<'a> {
                     (_, Operand2::Reg(rm, Shift::Imm(ShiftKind::Lsl, 0))) => {
                         let rn_e = self.reg(*rn, index)?;
                         let rm_e = self.reg(*rm, index)?;
-                        self.dp_reg_general(*op, *set_flags, rd_e, rn_e, rm_e, out, index)?;
+                        self.dp_reg_general(op, set_flags, rd_e, rn_e, rm_e, out, index)?;
                     }
                     // Immediates.
                     (_, Operand2::Imm(imm)) => {
                         let v = imm.value();
-                        if !op.is_arithmetic() && *set_flags && imm.rot() != 0 {
+                        if !op.is_arithmetic() && set_flags && imm.rot() != 0 {
                             return Err(TranslateError::Unsupported {
                                 index,
                                 what: "rotated logical flag-setting immediate".to_string(),
@@ -930,10 +712,11 @@ impl<'a> Translator<'a> {
                         } else {
                             self.reg(*rn, index)?
                         };
-                        let f = self.finder();
+                        let dp3 = MicroOp::Dp3 { op, set_flags };
+                        let dp2 = MicroOp::Dp2Imm { op, set_flags };
                         // Figure-2 Operate: 3-address immediate forms first.
                         if !op.ignores_rn() {
-                            if let Some((e, w)) = f.dp3imm_lit(*op, *set_flags) {
+                            if let Some((e, w)) = self.cfg.form(dp3, LayoutKind::RRImm) {
                                 if fits_unsigned(v, w) {
                                     out.push(Draft::Op {
                                         entry: e,
@@ -942,7 +725,7 @@ impl<'a> Translator<'a> {
                                     return Ok(());
                                 }
                             }
-                            if let Some((e, w)) = f.dp3imm_dict(*op, *set_flags) {
+                            if let Some((e, w)) = self.cfg.form(dp3, LayoutKind::RRDict) {
                                 if let Some(idx) =
                                     Dictionaries::index_of(&self.cfg.dicts.operate, v, w)
                                 {
@@ -954,8 +737,8 @@ impl<'a> Translator<'a> {
                                 }
                             }
                         }
-                        let lit = f.dp2imm_lit(*op, *set_flags);
-                        let dict = f.dp2imm_dict(*op, *set_flags);
+                        let lit = self.cfg.form(dp2, LayoutKind::R2Imm);
+                        let dict = self.cfg.form(dp2, LayoutKind::R2Dict);
                         let two_addr_ok = op.ignores_rn() || rd_e == rn_e;
                         if two_addr_ok {
                             if let Some((e, w)) = lit {
@@ -980,11 +763,11 @@ impl<'a> Translator<'a> {
                             }
                         }
                         // MOV/MVN of an arbitrary value.
-                        if *op == DpOp::Mov && !*set_flags {
+                        if op == DpOp::Mov && !set_flags {
                             self.build_const(rd_e, v, out, index)?;
                             return Ok(());
                         }
-                        if *op == DpOp::Mvn && !*set_flags {
+                        if op == DpOp::Mvn && !set_flags {
                             self.build_const(rd_e, !v, out, index)?;
                             return Ok(());
                         }
@@ -1016,14 +799,14 @@ impl<'a> Translator<'a> {
                         // register-register path.
                         let ip = self.scratch(index)?;
                         self.build_const(ip, v, out, index)?;
-                        self.dp_reg_general(*op, *set_flags, rd_e, rn_e, ip, out, index)?;
+                        self.dp_reg_general(op, set_flags, rd_e, rn_e, ip, out, index)?;
                     }
                     // Shifted-register operands on non-mov ops.
                     (_, Operand2::Reg(rm, shift)) => {
                         let rn_e = self.reg(*rn, index)?;
                         let ip = self.scratch(index)?;
                         self.expand_shift_operand(*rm, *shift, ip, index, out)?;
-                        self.dp_reg_general(*op, *set_flags, rd_e, rn_e, ip, out, index)?;
+                        self.dp_reg_general(op, set_flags, rd_e, rn_e, ip, out, index)?;
                     }
                 }
                 Ok(())
@@ -1042,9 +825,7 @@ impl<'a> Translator<'a> {
                         what: "flag-setting multiply".to_string(),
                     });
                 }
-                let e = self.finder().mul3().ok_or(TranslateError::MissingBaseOp {
-                    what: "mul".to_string(),
-                })?;
+                let (e, _) = self.base_form(MicroOp::Mul3, LayoutKind::R3, "mul")?;
                 let rd_e = self.reg(*rd, index)?;
                 let rm_e = self.reg(*rm, index)?;
                 let rs_e = self.reg(*rs, index)?;
@@ -1088,15 +869,11 @@ impl<'a> Translator<'a> {
                 }
                 let rd_e = self.reg(*rd, index)?;
                 let rn_e = self.reg(*rn, index)?;
+                let mem = MicroOp::Mem { op: *op };
                 match offset {
                     AddrOffset::Imm(d) => {
-                        let scale = match op.size() {
-                            4 => 4u32,
-                            2 => 2,
-                            _ => 1,
-                        };
-                        let f = self.finder();
-                        if let Some((e, w)) = f.mem_lit(*op) {
+                        let scale = disp_scale(*op);
+                        if let Some((e, w)) = self.cfg.form(mem, LayoutKind::MemImm) {
                             if mem_lit_fits(*d, w, scale) {
                                 let field = if scale == 1 {
                                     (*d as u16) & ((1u16 << w) - 1)
@@ -1110,7 +887,7 @@ impl<'a> Translator<'a> {
                                 return Ok(());
                             }
                         }
-                        if let Some((e, w)) = f.mem_dict(*op) {
+                        if let Some((e, w)) = self.cfg.form(mem, LayoutKind::MemDict) {
                             if let Some(idx) =
                                 Dictionaries::index_of(&self.cfg.dicts.mem_disp, *d as u32, w)
                             {
@@ -1125,14 +902,8 @@ impl<'a> Translator<'a> {
                         let ip = self.scratch(index)?;
                         self.build_const(ip, *d as u32, out, index)?;
                         self.dp_reg_general(DpOp::Add, false, ip, ip, rn_e, out, index)?;
-                        let (e, w) =
-                            self.finder()
-                                .mem_lit(*op)
-                                .ok_or(TranslateError::MissingBaseOp {
-                                    what: format!("{op}"),
-                                })?;
+                        let (e, w) = self.base_form(mem, LayoutKind::MemImm, op)?;
                         debug_assert!(mem_lit_fits(0, w, scale) || w == 0);
-                        let _ = w;
                         out.push(Draft::Op {
                             entry: e,
                             fields: [rd_e, ip, 0],
@@ -1146,8 +917,6 @@ impl<'a> Translator<'a> {
                     } => {
                         let ip = self.scratch(index)?;
                         self.expand_shift_operand(*rm, *shift, ip, index, out)?;
-                        let op_combine = if *subtract { DpOp::Rsb } else { DpOp::Add };
-                        let _ = op_combine;
                         if *subtract {
                             return Err(TranslateError::Unsupported {
                                 index,
@@ -1155,12 +924,7 @@ impl<'a> Translator<'a> {
                             });
                         }
                         self.dp_reg_general(DpOp::Add, false, ip, ip, rn_e, out, index)?;
-                        let (e, _) =
-                            self.finder()
-                                .mem_lit(*op)
-                                .ok_or(TranslateError::MissingBaseOp {
-                                    what: format!("{op}"),
-                                })?;
+                        let (e, _) = self.base_form(mem, LayoutKind::MemImm, op)?;
                         out.push(Draft::Op {
                             entry: e,
                             fields: [rd_e, ip, 0],
@@ -1192,9 +956,7 @@ impl<'a> Translator<'a> {
                 Ok(())
             }
             Instr::Swi { imm, .. } => {
-                let (e, w) = self.finder().swi().ok_or(TranslateError::MissingBaseOp {
-                    what: "swi".to_string(),
-                })?;
+                let (e, w) = self.base_form(MicroOp::Swi, LayoutKind::Trap, "swi")?;
                 if !fits_unsigned(*imm, w) && *imm != 0 {
                     return Err(TranslateError::Unsupported {
                         index,
@@ -1227,12 +989,14 @@ impl<'a> Translator<'a> {
             }
             Shift::Reg(kind, rs) => {
                 let rs_e = self.reg(rs, index)?;
-                let sr =
-                    self.finder()
-                        .shift_reg(kind, false)
-                        .ok_or(TranslateError::MissingBaseOp {
-                            what: format!("shift-reg {kind}"),
-                        })?;
+                let (sr, _) = self.base_form(
+                    MicroOp::ShiftReg {
+                        kind,
+                        set_flags: false,
+                    },
+                    LayoutKind::R2,
+                    format_args!("shift-reg {kind}"),
+                )?;
                 self.mov_reg(dst, rm_e, out)?;
                 out.push(Draft::Op {
                     entry: sr,
@@ -1267,7 +1031,10 @@ impl<'a> Translator<'a> {
                 let rd_e = self.reg(*rd, index)?;
                 match op2 {
                     Operand2::Imm(imm) => {
-                        if let Some((e, w)) = self.finder().pred_mov_imm(cond) {
+                        if let Some((e, w)) = self
+                            .cfg
+                            .form(MicroOp::PredMovImm { cond }, LayoutKind::R2Imm)
+                        {
                             if fits_unsigned(imm.value(), w) {
                                 out.push(Draft::Op {
                                     entry: e,
@@ -1278,7 +1045,9 @@ impl<'a> Translator<'a> {
                         }
                     }
                     Operand2::Reg(rm, Shift::Imm(ShiftKind::Lsl, 0)) => {
-                        if let Some(e) = self.finder().pred_mov_reg(cond) {
+                        if let Some((e, _)) =
+                            self.cfg.form(MicroOp::PredMovReg { cond }, LayoutKind::R2)
+                        {
                             let rm_e = self.reg(*rm, index)?;
                             out.push(Draft::Op {
                                 entry: e,
@@ -1296,12 +1065,14 @@ impl<'a> Translator<'a> {
         let mut body = Vec::new();
         self.expand(&instr.with_cond(Cond::Al), index, &mut body)?;
         let inv = cond.inverse();
-        let (e, w) = self
-            .finder()
-            .branch(inv, false)
-            .ok_or(TranslateError::MissingBaseOp {
-                what: format!("b{inv}"),
-            })?;
+        let (e, w) = self.base_form(
+            MicroOp::Branch {
+                cond: inv,
+                link: false,
+            },
+            LayoutKind::Br,
+            format_args!("b{inv}"),
+        )?;
         let skip = body.len() as u16;
         if !fits_unsigned(u32::from(skip), w.saturating_sub(1)) {
             return Err(TranslateError::Unsupported {
@@ -1323,8 +1094,6 @@ impl<'a> Translator<'a> {
 #[must_use]
 pub fn pack(entry: &OpcodeEntry, fields: [u16; 3], r: u8) -> u16 {
     let mut word = entry.code;
-    let operand_bits = 16 - entry.len;
-    let _ = operand_bits;
     let r = u16::from(r);
     let body: u16 = match entry.layout {
         Layout::R3 => (fields[0] << (2 * r)) | (fields[1] << r) | fields[2],
@@ -1419,7 +1188,7 @@ impl BrForm {
 /// Returns [`TranslateError`] when the program uses registers outside the
 /// synthesized window or instruction shapes outside the supported set.
 pub fn translate(program: &Program, config: &DecoderConfig) -> Result<Translation, TranslateError> {
-    let movd = Finder { cfg: config }.dp2imm_dict(DpOp::Mov, false);
+    let movd = config.form(MOVI, LayoutKind::R2Dict);
     let op_dict_cap = movd.map_or(0, |(_, w)| 1usize << w);
     let mut tr = Translator {
         program,
@@ -1464,12 +1233,14 @@ pub fn translate(program: &Program, config: &DecoderConfig) -> Result<Translatio
             else {
                 continue;
             };
-            let fnd = Finder { cfg: &tr.cfg };
-            let (_, w) = fnd
-                .branch(*cond, *link)
-                .ok_or(TranslateError::MissingBaseOp {
-                    what: format!("b{cond}"),
-                })?;
+            let (_, w) = tr.base_form(
+                MicroOp::Branch {
+                    cond: *cond,
+                    link: *link,
+                },
+                LayoutKind::Br,
+                format_args!("b{cond}"),
+            )?;
             // Where does the branch instruction itself sit?
             let br_pos = pos[i + 1] - forms[i].size(*cond, *link);
             let disp = i64::from(pos[*target_arm]) - (i64::from(br_pos) + 2);
@@ -1477,11 +1248,7 @@ pub fn translate(program: &Program, config: &DecoderConfig) -> Result<Translatio
                 BrForm::Short
             } else {
                 // Try the inverse pair (unconditional branch range).
-                let bal = fnd
-                    .branch(Cond::Al, false)
-                    .ok_or(TranslateError::MissingBaseOp {
-                        what: "b".to_string(),
-                    })?;
+                let bal = tr.base_form(B, LayoutKind::Br, "b")?;
                 let uncond_disp = i64::from(pos[*target_arm]) - (i64::from(br_pos) + 1 + 2);
                 if !link && *cond != Cond::Al && sign_fits(uncond_disp, bal.1) {
                     BrForm::InvPair
@@ -1540,10 +1307,14 @@ pub fn translate(program: &Program, config: &DecoderConfig) -> Result<Translatio
                     link,
                     target_arm,
                 } => {
-                    let (e, w) = {
-                        let fnd = Finder { cfg: &tr.cfg };
-                        fnd.branch(*cond, *link).expect("validated in relaxation")
+                    let branch = MicroOp::Branch {
+                        cond: *cond,
+                        link: *link,
                     };
+                    let (e, w) = tr
+                        .cfg
+                        .form(branch, LayoutKind::Br)
+                        .expect("validated in relaxation");
                     let target_pos = i64::from(pos[*target_arm]);
                     match forms[i] {
                         BrForm::Short => {
@@ -1558,18 +1329,15 @@ pub fn translate(program: &Program, config: &DecoderConfig) -> Result<Translatio
                         }
                         BrForm::InvPair => {
                             let inv = cond.inverse();
-                            let (ei, wi) = {
-                                let fnd = Finder { cfg: &tr.cfg };
-                                fnd.branch(inv, false).expect("BIS pairs")
+                            let inverse = MicroOp::Branch {
+                                cond: inv,
+                                link: false,
                             };
+                            let (ei, _) = tr.cfg.form(inverse, LayoutKind::Br).expect("BIS pairs");
                             // Hop over the unconditional branch:
                             // displacement 0 lands one past it (pc + 4).
-                            let _ = wi;
                             words.push(pack(&tr.cfg.ops[ei], [0, 0, 0], r));
-                            let (eb, wb) = {
-                                let fnd = Finder { cfg: &tr.cfg };
-                                fnd.branch(Cond::Al, false).expect("BIS b")
-                            };
+                            let (eb, wb) = tr.cfg.form(B, LayoutKind::Br).expect("BIS b");
                             let here = words.len() as i64;
                             let disp = target_pos - (here + 2);
                             debug_assert!(sign_fits(disp, wb), "pair branch overflow");
@@ -1589,27 +1357,27 @@ pub fn translate(program: &Program, config: &DecoderConfig) -> Result<Translatio
                             let target_addr = TEXT_BASE + (pos[*target_arm] * 2);
                             let ip = tr.scratch(i)?;
                             if cond != Cond::Al && !link {
-                                let inv = cond.inverse();
-                                let (ei, _) = {
-                                    let fnd = Finder { cfg: &tr.cfg };
-                                    fnd.branch(inv, false).expect("BIS pairs")
+                                let inverse = MicroOp::Branch {
+                                    cond: cond.inverse(),
+                                    link: false,
                                 };
+                                let (ei, _) =
+                                    tr.cfg.form(inverse, LayoutKind::Br).expect("BIS pairs");
                                 // Skip the 2-instruction far sequence:
                                 // displacement 1 (relative to pc + 4).
                                 words.push(pack(&tr.cfg.ops[ei], [1, 0, 0], r));
                             }
-                            let (lt, ltw) = {
-                                let fnd = Finder { cfg: &tr.cfg };
-                                fnd.load_target().ok_or(TranslateError::MissingBaseOp {
-                                    what: "load-target".to_string(),
-                                })?
-                            };
+                            let (lt, ltw) = tr.base_form(
+                                MicroOp::LoadTarget,
+                                LayoutKind::R2Dict,
+                                "load-target",
+                            )?;
                             let idx = tr.target_dict_index(target_addr, ltw, i)?;
                             words.push(pack(&tr.cfg.ops[lt], [ip, idx, 0], r));
-                            let jr = tr.finder().branch_reg(link).ok_or(
-                                TranslateError::MissingBaseOp {
-                                    what: "jr/jalr".to_string(),
-                                },
+                            let (jr, _) = tr.base_form(
+                                MicroOp::BranchReg { link },
+                                LayoutKind::R1,
+                                "jr/jalr",
                             )?;
                             words.push(pack(&tr.cfg.ops[jr], [ip, 0, 0], r));
                         }

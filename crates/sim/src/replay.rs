@@ -499,6 +499,8 @@ impl RecordedTrace {
     /// of [`RecordedTrace::price_with`] despite touching every event N
     /// times. Event order and cycle reconstruction are identical to the
     /// fused pass, so results stay bit-identical regardless of lane count.
+    /// A single configuration has no neighbours to evict it and runs the
+    /// fused pass instead, skipping the buffering.
     ///
     /// # Errors
     ///
@@ -514,6 +516,9 @@ impl RecordedTrace {
         /// cache-resident, large enough to amortize the loop switches.
         const CHUNK_EVENTS: usize = 1 << 15;
 
+        if let [cfg] = cfgs {
+            return Ok(vec![self.price_with(compiled, cfg, &mut ())?]);
+        }
         self.check_program(compiled)?;
         let mut lanes = cfgs.iter().map(Lane::new).collect::<Result<Vec<_>, _>>()?;
         let mut replay = Replay::new(BufferSink {

@@ -28,6 +28,14 @@ fn sweep_configs() -> Vec<Sa1100Config> {
         .collect()
 }
 
+/// The lists `price_all` is checked on: the four-config sweep (the
+/// batched engine) and a single configuration (the fused single-lane pass).
+fn price_all_inputs() -> [Vec<Sa1100Config>; 2] {
+    let sweep = sweep_configs();
+    let single = vec![sweep[3].clone()];
+    [sweep, single]
+}
+
 /// Records one execution of the machine's program and prices every
 /// configuration from it: compile → `run_recorded` → `price_all`.
 fn record_and_price<S: InstrSet>(
@@ -42,41 +50,43 @@ fn record_and_price<S: InstrSet>(
 
 /// One recording priced over N configs must be bit-identical to N
 /// independent `run_timed` machines, for both instruction sets of every
-/// kernel.
+/// kernel, whether `price_all` gets one config or several.
 #[test]
 fn replay_many_is_bit_identical_to_per_config_runs() {
     let scale = Scale::test();
-    let cfgs = sweep_configs();
     for &kernel in Kernel::ALL.iter() {
         let program = kernel.compile(scale).expect("kernel compiles");
-
-        let (multi_out, multi_sims) =
-            record_and_price(Machine::new(Ar32Set::load(&program)), &cfgs);
-        for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
-            let (out, sim) = Machine::new(Ar32Set::load(&program))
-                .run_timed(cfg)
-                .expect("single run");
-            assert_eq!(out, multi_out, "{kernel}: AR32 RunOutput diverged");
-            assert_eq!(
-                sim, *multi_sim,
-                "{kernel}: AR32 SimResult diverged at {} B icache",
-                cfg.icache.size_bytes
-            );
-        }
-
         let flow = FitsFlow::new().run(&program).expect("flow accepts");
-        let (multi_out, multi_sims) =
-            record_and_price(Machine::new(FitsSet::load(&flow.fits).unwrap()), &cfgs);
-        for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
-            let (out, sim) = Machine::new(FitsSet::load(&flow.fits).unwrap())
-                .run_timed(cfg)
-                .expect("single run");
-            assert_eq!(out, multi_out, "{kernel}: FITS RunOutput diverged");
-            assert_eq!(
-                sim, *multi_sim,
-                "{kernel}: FITS SimResult diverged at {} B icache",
-                cfg.icache.size_bytes
-            );
+        for cfgs in price_all_inputs() {
+            let (multi_out, multi_sims) =
+                record_and_price(Machine::new(Ar32Set::load(&program)), &cfgs);
+            assert_eq!(multi_sims.len(), cfgs.len());
+            for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
+                let (out, sim) = Machine::new(Ar32Set::load(&program))
+                    .run_timed(cfg)
+                    .expect("single run");
+                assert_eq!(out, multi_out, "{kernel}: AR32 RunOutput diverged");
+                assert_eq!(
+                    sim, *multi_sim,
+                    "{kernel}: AR32 SimResult diverged at {} B icache",
+                    cfg.icache.size_bytes
+                );
+            }
+
+            let (multi_out, multi_sims) =
+                record_and_price(Machine::new(FitsSet::load(&flow.fits).unwrap()), &cfgs);
+            assert_eq!(multi_sims.len(), cfgs.len());
+            for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
+                let (out, sim) = Machine::new(FitsSet::load(&flow.fits).unwrap())
+                    .run_timed(cfg)
+                    .expect("single run");
+                assert_eq!(out, multi_out, "{kernel}: FITS RunOutput diverged");
+                assert_eq!(
+                    sim, *multi_sim,
+                    "{kernel}: FITS SimResult diverged at {} B icache",
+                    cfg.icache.size_bytes
+                );
+            }
         }
     }
 }
@@ -164,8 +174,10 @@ fn replay_many_executes_each_instruction_once() {
 #[test]
 fn compiled_api_is_bit_identical_and_repriceable() {
     let scale = Scale::test();
-    let cfgs = sweep_configs();
-    for &kernel in [Kernel::Crc32, Kernel::JpegDct, Kernel::Dijkstra].iter() {
+    for (&kernel, cfgs) in [Kernel::Crc32, Kernel::JpegDct, Kernel::Dijkstra]
+        .iter()
+        .flat_map(|k| price_all_inputs().map(|cfgs| (k, cfgs)))
+    {
         let program = kernel.compile(scale).expect("kernel compiles");
         let set = Ar32Set::load(&program);
         let compiled = CompiledProgram::compile(&set).expect("compiles to blocks");
